@@ -2,7 +2,7 @@
 //! static-schedule reference, per benchmark.
 
 use machsuite::Bench;
-use salam_bench::runners::{hls_cycles_with, run_kernel, tuned_standalone};
+use salam_bench::runners::{hls_cycles, run_kernel, tuned_standalone};
 use salam_bench::table::{mean_abs_pct, pct_err, Table};
 use salam_cdfg::FuConstraints;
 use salam_hls::HlsConfig;
@@ -26,7 +26,7 @@ fn main() {
         };
         let salam = run_kernel(&k, &salam_cfg);
         assert!(salam.verified, "{} failed verification", k.name);
-        let hls = hls_cycles_with(&k, &FuConstraints::unconstrained(), &hls_cfg);
+        let hls = hls_cycles(&k, &FuConstraints::unconstrained(), &hls_cfg);
         let err = pct_err(salam.cycles as f64, hls.cycles as f64);
         errors.push(err);
         t.row(vec![

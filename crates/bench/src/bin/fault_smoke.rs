@@ -16,7 +16,7 @@
 //! trailing `fault_smoke: …` marker line.
 
 use machsuite::BuiltKernel;
-use salam::standalone::{run_kernel, try_run_kernel_faulted, StandaloneConfig};
+use salam::standalone::{run_kernel, try_run_kernel_with, RunOptions, StandaloneConfig};
 use salam::{FaultPlan, SimError};
 use salam_dse::SweepTable;
 
@@ -95,7 +95,12 @@ fn main() {
             String::new(),
         ]);
         for &seed in &seeds {
-            let result = try_run_kernel_faulted(kernel, &cfg, &campaign_plan(seed));
+            let plan = campaign_plan(seed);
+            let opts = RunOptions {
+                fault: Some(&plan),
+                ..RunOptions::default()
+            };
+            let result = try_run_kernel_with(kernel, &cfg, &opts);
             let outcome = classify(&result);
             match outcome {
                 "masked" => masked += 1,

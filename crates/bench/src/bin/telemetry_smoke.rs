@@ -15,10 +15,9 @@
 use std::time::Instant;
 
 use machsuite::Bench;
-use salam::standalone::{try_run_kernel_observed, try_run_kernel_traced, StandaloneConfig};
+use salam::standalone::{try_run_kernel, try_run_kernel_with, RunOptions, StandaloneConfig};
 use salam_bench::cli::{Args, EXIT_FINDINGS, EXIT_USAGE};
 use salam_dse::SweepTable;
-use salam_obs::SharedTrace;
 use salam_telemetry::{flight, FlightRecorder};
 
 fn main() {
@@ -36,28 +35,25 @@ fn main() {
         .map(|b| (b.label().to_ascii_lowercase(), b.build_standard()))
         .collect();
     let recorder = FlightRecorder::enabled(flight::DEFAULT_CAPACITY);
+    let observed = |trace_id| RunOptions {
+        flight: recorder.clone(),
+        trace_id,
+        ..RunOptions::default()
+    };
 
     // Correctness first: per-kernel byte-identity of the report JSON.
     let mut findings: Vec<String> = Vec::new();
     let mut rows: Vec<(String, u64, bool)> = Vec::new();
     for (name, kernel) in &kernels {
-        let off = try_run_kernel_traced(kernel, &cfg, &SharedTrace::disabled(), None)
-            .unwrap_or_else(|e| {
-                eprintln!("telemetry_smoke: {name} failed telemetry-off: {e}");
-                std::process::exit(EXIT_FINDINGS);
-            });
-        let on = try_run_kernel_observed(
-            kernel,
-            &cfg,
-            &SharedTrace::disabled(),
-            None,
-            &recorder,
-            0xfeed_0000 + rows.len() as u64,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("telemetry_smoke: {name} failed telemetry-on: {e}");
+        let off = try_run_kernel(kernel, &cfg).unwrap_or_else(|e| {
+            eprintln!("telemetry_smoke: {name} failed telemetry-off: {e}");
             std::process::exit(EXIT_FINDINGS);
         });
+        let on = try_run_kernel_with(kernel, &cfg, &observed(0xfeed_0000 + rows.len() as u64))
+            .unwrap_or_else(|e| {
+                eprintln!("telemetry_smoke: {name} failed telemetry-on: {e}");
+                std::process::exit(EXIT_FINDINGS);
+            });
         let identical = off.to_json() == on.to_json();
         if !identical {
             findings.push(format!("{name}: report JSON differs with telemetry on"));
@@ -70,22 +66,15 @@ fn main() {
 
     // Then the overhead gate: total wall time over all kernels, min of
     // `reps` repetitions per mode so scheduler noise can only help.
-    let time_all = |observed: bool| -> f64 {
+    let time_all = |on: bool| -> f64 {
         let mut best = f64::MAX;
         for _ in 0..reps {
             let t0 = Instant::now();
             for (_, kernel) in &kernels {
-                let r = if observed {
-                    try_run_kernel_observed(
-                        kernel,
-                        &cfg,
-                        &SharedTrace::disabled(),
-                        None,
-                        &recorder,
-                        1,
-                    )
+                let r = if on {
+                    try_run_kernel_with(kernel, &cfg, &observed(1))
                 } else {
-                    try_run_kernel_traced(kernel, &cfg, &SharedTrace::disabled(), None)
+                    try_run_kernel(kernel, &cfg)
                 };
                 assert!(r.is_ok(), "timed pass must not fail");
             }

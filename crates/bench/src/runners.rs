@@ -5,15 +5,16 @@ use std::time::{Duration, Instant};
 
 use hw_profile::HardwareProfile;
 use machsuite::BuiltKernel;
+use salam::standalone::{try_run_kernel_with, RunOptions};
 use salam::RunReport;
 use salam_aladdin::{derive_datapath, generate_trace, simulate_trace, AladdinMemModel, Trace};
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_hls::{estimate_cycles, BlockTrips, HlsConfig, HlsReport};
 use salam_ir::interp::{run_function, ProfileObserver, SparseMemory};
 use salam_obs::{MetricsRegistry, SharedTrace};
-use salam_runtime::{Engine, EngineConfig, SimpleMem};
+use salam_runtime::{Engine, SimpleMem};
 
-pub use salam::standalone::{run_kernel, run_kernel_traced, StandaloneConfig};
+pub use salam::standalone::{run_kernel, StandaloneConfig};
 
 /// A standalone run with the observability subsystem attached: the engine's
 /// op spans and scheduler events are recorded and, if `trace_path` is set,
@@ -26,7 +27,11 @@ pub fn run_kernel_observed(
     trace_path: Option<&Path>,
 ) -> (RunReport, MetricsRegistry) {
     let trace = SharedTrace::enabled();
-    let report = run_kernel_traced(kernel, cfg, &trace);
+    let opts = RunOptions {
+        trace: trace.clone(),
+        ..RunOptions::default()
+    };
+    let report = try_run_kernel_with(kernel, cfg, &opts).unwrap_or_else(|e| panic!("{e}"));
     if let Some(path) = trace_path {
         trace
             .with_recorder(|rec| salam_obs::write_chrome_trace(rec, path))
@@ -73,18 +78,10 @@ pub fn tuned_standalone(bench: machsuite::Bench) -> StandaloneConfig {
 /// including profiled loop-carried memory recurrences (HLS co-simulation
 /// style).
 pub fn hls_cycles(kernel: &BuiltKernel, constraints: &FuConstraints, cfg: &HlsConfig) -> HlsReport {
-    hls_cycles_with(kernel, constraints, cfg)
-}
-
-/// Like [`hls_cycles`], named for call sites that build a custom config.
-pub fn hls_cycles_with(
-    kernel: &BuiltKernel,
-    constraints: &FuConstraints,
-    cfg: &HlsConfig,
-) -> HlsReport {
     let profile = HardwareProfile::default_40nm();
     let cdfg = StaticCdfg::elaborate(&kernel.func, &profile, constraints);
-    let (obs, deps) = salam_hls::profile_memdeps(&kernel.func, &kernel.args, &kernel.init);
+    let (obs, deps) =
+        salam_verify::memdep::profile_memdeps(&kernel.func, &kernel.args, &kernel.init);
     estimate_cycles(
         &kernel.func,
         &cdfg,
@@ -172,7 +169,7 @@ pub fn salam_timed(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> SalamRun {
         kernel.func.clone(),
         cdfg,
         cfg.profile.clone(),
-        EngineConfig::default(),
+        cfg.engine,
         kernel.args.clone(),
     );
     let cycles = engine.run_to_completion(&mut mem);
@@ -222,5 +219,17 @@ mod tests {
         let timed = salam_timed(&k, &cfg);
         let report = run_kernel(&k, &cfg);
         assert_eq!(timed.cycles, report.cycles);
+
+        // A 512-entry window (the MD-Grid tuning) changes this kernel's
+        // cycles, so the timed run must honour `cfg.engine`.
+        let k = Bench::MdGrid.build_standard();
+        let tuned = tuned_standalone(Bench::MdGrid);
+        let narrow = StandaloneConfig {
+            engine: salam_runtime::EngineConfig::default(),
+            ..tuned.clone()
+        };
+        let report = run_kernel(&k, &tuned);
+        assert_ne!(report.cycles, run_kernel(&k, &narrow).cycles);
+        assert_eq!(salam_timed(&k, &tuned).cycles, report.cycles);
     }
 }

@@ -383,7 +383,7 @@ impl JsonWriter {
         self.out.push('\n');
         self.out.push_str(&"  ".repeat(self.indent));
         self.out.push('"');
-        self.out.push_str(&json_escape(k));
+        self.out.push_str(&salam_obs::json::escape(k));
         self.out.push_str("\": ");
     }
 
@@ -399,7 +399,7 @@ impl JsonWriter {
     fn str_field(&mut self, k: &str, v: &str) {
         self.key(k);
         self.out.push('"');
-        self.out.push_str(&json_escape(v));
+        self.out.push_str(&salam_obs::json::escape(v));
         self.out.push('"');
     }
 
@@ -442,13 +442,24 @@ impl JsonWriter {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn control_characters_in_names_are_escaped_and_round_trip() {
+        let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
+        let mut r = crate::run_kernel(&k, &crate::StandaloneConfig::default());
+        r.name = "tab\there\nnewline\u{1}".into();
+        let text = r.to_json();
+        assert!(
+            text.contains(r#""name": "tab\there\nnewline\u0001""#),
+            "{text}"
+        );
+        let back = RunReport::from_json(&text).expect("escaped report parses");
+        assert_eq!(back.name, r.name);
+        assert_eq!(back.to_json(), text);
+    }
 
     #[test]
     fn breakdown_totals_sum() {

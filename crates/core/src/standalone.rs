@@ -1,14 +1,28 @@
-//! One-call harness for datapath + private-SPM simulations.
+//! One-call harness for standalone datapath simulations.
 //!
 //! This is the configuration the paper validates against HLS (Fig. 10) and
 //! sweeps in its GEMM design-space exploration (Figs. 13–15): the runtime
 //! engine backed by a private multi-ported scratchpad, no wider system.
+//! [`run_kernel_cached`] swaps the scratchpad for a cache + DRAM
+//! hierarchy, the paper's interchangeable communications interface.
+//!
+//! Every entry point runs the same sequence — validate, verify gate,
+//! elaborate, engine, output check, SRAM sizing, [`RunReport::assemble`]:
+//!
+//! * [`try_run_kernel_with`] is the general entry point; its
+//!   [`RunOptions`] attach a trace sink, a fault plan, a flight recorder
+//!   and a cancel token, all disabled by default.
+//! * [`try_run_kernel`] / [`run_kernel`] run with default options
+//!   (fallible / panicking).
+//! * [`try_run_kernel_profiled`] forces dependency-stream recording and
+//!   hands the stream back next to the report.
+//! * [`run_kernel_cached`] runs against a [`HierarchyPort`].
 
 use hw_profile::{HardwareProfile, SramSpec};
 use machsuite::BuiltKernel;
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_fault::{FaultPlan, SimError};
-use salam_runtime::{Engine, EngineConfig, FaultyPort, SimpleMem};
+use salam_runtime::{Engine, EngineConfig, FaultyPort, MemPort, SimpleMem};
 
 use crate::report::RunReport;
 
@@ -117,40 +131,76 @@ impl StandaloneConfig {
         }
         Ok(())
     }
+
+    /// The private SPM a standalone run prices for `kernel`: its initial
+    /// data footprint rounded up to a power of two (at least 1 KiB), with
+    /// this config's ports and word width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spm_word_bytes` is zero; [`StandaloneConfig::validate`]
+    /// rejects that first.
+    pub fn spm_spec(&self, kernel: &BuiltKernel) -> SramSpec {
+        let (lo, hi) = kernel.init_span();
+        let footprint = (hi.saturating_sub(lo)).next_power_of_two().max(1024);
+        SramSpec::new(footprint, self.spm_word_bytes)
+            .with_ports(self.spm_read_ports, self.spm_write_ports)
+    }
+}
+
+/// Per-call attachments of [`try_run_kernel_with`]; `Default` disables
+/// all of them. Only a fault plan with non-zero rates changes a run's
+/// result.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions<'a> {
+    /// Trace sink: op spans and scheduler events land on `engine.{kernel}`
+    /// tracks, ready for [`salam_obs::write_chrome_trace`].
+    pub trace: salam_obs::SharedTrace,
+    /// Fault-injection plan. The fault layer — engine FU hooks plus a
+    /// [`FaultyPort`] around the memory — is attached even when the
+    /// plan's rates are all zero, so the zero-rate equivalence property
+    /// exercises the injection path; port-side fault counters are merged
+    /// into the report's `fault_counts`.
+    pub fault: Option<&'a FaultPlan>,
+    /// Serving-layer flight recorder: receives engine run-start/run-end/
+    /// error events and liveness heartbeats tagged with `trace_id`.
+    pub flight: salam_telemetry::FlightRecorder,
+    /// Request id stamped on flight-recorder events.
+    pub trace_id: u64,
+    /// Cooperative cancel/deadline token, polled at cycle-batch boundaries
+    /// ([`salam_runtime::CANCEL_BATCH`] cycles); a stop surfaces as
+    /// [`SimError::Cancelled`].
+    pub cancel: salam_resilience::CancelToken,
 }
 
 /// Runs `kernel` on the runtime engine with a private SPM and returns the
 /// full report (cycles, power breakdown, area, verification).
+///
+/// # Panics
+///
+/// Panics on any [`SimError`]; [`try_run_kernel`] returns it instead.
 pub fn run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> RunReport {
-    run_kernel_traced(kernel, cfg, &salam_obs::SharedTrace::disabled())
+    try_run_kernel(kernel, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_kernel`] with dependency-stream recording forced on.
+/// Fallible [`run_kernel`]: validates the configuration up front and turns
+/// deadlocks and kernel faults into [`SimError`] values instead of panics.
+///
+/// # Errors
+///
+/// [`SimError::Config`] for rejected knobs, [`SimError::Verify`] when the
+/// verify gate rejects the kernel, [`SimError::Deadlock`] with a populated
+/// watchdog snapshot, or [`SimError::KernelFault`] for runtime evaluation
+/// failures.
+pub fn try_run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> Result<RunReport, SimError> {
+    try_run_kernel_with(kernel, cfg, &RunOptions::default())
+}
+
+/// [`try_run_kernel`] with dependency-stream recording forced on.
 ///
 /// Returns the report together with the captured [`salam_obs::DepStream`],
 /// ready for [`salam_obs::analyze`] (critical path, slack, headroom). The
 /// stream is moved out of the report so the report stays serialization-sized.
-///
-/// Thin panicking wrapper over [`try_run_kernel_profiled`] for callers that
-/// treat any simulation error as a test failure.
-///
-/// # Panics
-///
-/// Panics on any [`SimError`] (rejected config, deadlock, kernel fault).
-pub fn run_kernel_profiled(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-) -> (RunReport, salam_obs::DepStream) {
-    match try_run_kernel_profiled(kernel, cfg) {
-        Ok(pair) => pair,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_kernel_profiled`]: same forced dependency-stream
-/// recording, but configuration rejections, deadlocks and kernel faults
-/// come back as typed [`SimError`]s — matching the rest of the `try_*`
-/// API surface.
 ///
 /// # Errors
 ///
@@ -172,135 +222,50 @@ pub fn try_run_kernel_profiled(
     Ok((report, depstream))
 }
 
-/// [`run_kernel`] with a trace sink attached to the engine: op spans and
-/// scheduler events land on `engine.{kernel}` tracks, ready for
-/// [`salam_obs::write_chrome_trace`].
-pub fn run_kernel_traced(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-) -> RunReport {
-    match try_run_kernel_traced(kernel, cfg, trace, None) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_kernel`]: validates the configuration up front and turns
-/// deadlocks and kernel faults into [`SimError`] values instead of panics.
+/// [`try_run_kernel`] with the attachments in `opts`; a default
+/// [`RunOptions`] makes the two identical.
 ///
 /// # Errors
 ///
-/// [`SimError::Config`] for rejected knobs, [`SimError::Deadlock`] with a
-/// populated watchdog snapshot, or [`SimError::KernelFault`] for runtime
-/// evaluation failures.
-pub fn try_run_kernel(kernel: &BuiltKernel, cfg: &StandaloneConfig) -> Result<RunReport, SimError> {
-    try_run_kernel_traced(kernel, cfg, &salam_obs::SharedTrace::disabled(), None)
-}
-
-/// [`try_run_kernel`] under a fault-injection [`FaultPlan`].
-///
-/// The fault layer — engine FU hooks plus a [`FaultyPort`] wrapped around
-/// the SPM — is attached even when the plan's rates are all zero, so the
-/// zero-rate observational-equivalence property genuinely exercises the
-/// injection path rather than bypassing it. Port-side fault counters are
-/// merged into the report's `fault_counts`.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`]; injected faults surface either as
-/// an unverified report (silent data corruption), a longer run (jitter), or
-/// an `Err` (deadlock from dropped responses, kernel fault from corrupted
-/// control data).
-pub fn try_run_kernel_faulted(
+/// Same taxonomy as [`try_run_kernel`], plus [`SimError::Cancelled`] when
+/// `opts.cancel` fires. Injected faults surface as an unverified report
+/// (silent data corruption), a longer run (jitter), or an `Err` (deadlock
+/// from dropped responses, kernel fault from corrupted control data).
+pub fn try_run_kernel_with(
     kernel: &BuiltKernel,
     cfg: &StandaloneConfig,
-    plan: &FaultPlan,
+    opts: &RunOptions<'_>,
 ) -> Result<RunReport, SimError> {
-    try_run_kernel_traced(kernel, cfg, &salam_obs::SharedTrace::disabled(), Some(plan))
-}
-
-/// The full-generality fallible entry point: optional trace sink, optional
-/// fault plan. Everything else in this module is a special case of this —
-/// and it is what a long-running server calls to host arbitrary tenant jobs
-/// with typed errors instead of panics.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`].
-pub fn try_run_kernel_traced(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-    plan: Option<&FaultPlan>,
-) -> Result<RunReport, SimError> {
-    try_run_kernel_observed(
+    run_on(
         kernel,
         cfg,
-        trace,
-        plan,
-        &salam_telemetry::FlightRecorder::disabled(),
-        0,
+        opts,
+        || {
+            let mut mem = SimpleMem::new(cfg.spm_latency, cfg.spm_read_ports, cfg.spm_write_ports);
+            kernel.load_into(mem.memory_mut());
+            mem
+        },
+        |mut mem| (kernel.check(mem.memory_mut()).is_ok(), cfg.spm_spec(kernel)),
     )
 }
 
-/// The full-generality entry point: [`try_run_kernel_traced`] plus a
-/// serving-layer [`salam_telemetry::FlightRecorder`] that receives engine
-/// run-start/run-end/error events and liveness heartbeats tagged with the
-/// request's `trace_id`. A disabled recorder (what every other entry
-/// point passes) makes this identical to `try_run_kernel_traced` — the
-/// recorder never feeds back into simulation state, which is what keeps
-/// telemetry non-perturbing.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`].
-pub fn try_run_kernel_observed(
+/// The one standalone run sequence, generic over the memory behind the
+/// engine: `build` makes the port once the config is known good, and
+/// `finish` checks the kernel's output through it and sizes the SRAM the
+/// report prices.
+fn run_on<P: MemPort>(
     kernel: &BuiltKernel,
     cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-    plan: Option<&FaultPlan>,
-    flight: &salam_telemetry::FlightRecorder,
-    trace_id: u64,
-) -> Result<RunReport, SimError> {
-    try_run_kernel_controlled(
-        kernel,
-        cfg,
-        trace,
-        plan,
-        flight,
-        trace_id,
-        &salam_resilience::CancelToken::none(),
-    )
-}
-
-/// [`try_run_kernel_observed`] plus a cooperative
-/// [`salam_resilience::CancelToken`]. The engine polls the token at
-/// cycle-batch boundaries ([`salam_runtime::CANCEL_BATCH`] cycles), so an
-/// explicit cancel or an expired deadline stops the run within one batch
-/// and surfaces as [`SimError::Cancelled`]. A disabled token (what every
-/// other entry point passes) costs one branch per batch and never fires.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_kernel`], plus [`SimError::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_kernel_controlled(
-    kernel: &BuiltKernel,
-    cfg: &StandaloneConfig,
-    trace: &salam_obs::SharedTrace,
-    plan: Option<&FaultPlan>,
-    flight: &salam_telemetry::FlightRecorder,
-    trace_id: u64,
-    cancel: &salam_resilience::CancelToken,
+    opts: &RunOptions<'_>,
+    build: impl FnOnce() -> P,
+    finish: impl FnOnce(P) -> (bool, SramSpec),
 ) -> Result<RunReport, SimError> {
     cfg.validate()?;
     if cfg.verify {
         salam_verify::gate(&kernel.func).map_err(SimError::Verify)?;
     }
     let cdfg = StaticCdfg::elaborate(&kernel.func, &cfg.profile, &cfg.constraints);
-    let mut mem = SimpleMem::new(cfg.spm_latency, cfg.spm_read_ports, cfg.spm_write_ports);
-    kernel.load_into(mem.memory_mut());
+    let mut port = build();
     let mut engine = Engine::new(
         kernel.func.clone(),
         cdfg.clone(),
@@ -308,34 +273,26 @@ pub fn try_run_kernel_controlled(
         cfg.engine,
         kernel.args.clone(),
     );
-    if trace.is_enabled() {
-        engine.set_trace(trace.clone());
+    if opts.trace.is_enabled() {
+        engine.set_trace(opts.trace.clone());
     }
-    if flight.is_enabled() {
-        engine.set_flight(flight.clone(), trace_id);
+    if opts.flight.is_enabled() {
+        engine.set_flight(opts.flight.clone(), opts.trace_id);
     }
-    if cancel.is_enabled() {
-        engine.set_cancel(cancel.clone());
+    if opts.cancel.is_enabled() {
+        engine.set_cancel(opts.cancel.clone());
     }
-    let mut mem = if let Some(plan) = plan {
+    if let Some(plan) = opts.fault {
         engine.set_fault(plan);
-        let mut port = FaultyPort::new(mem, plan);
-        let run = engine.try_run_to_completion(&mut port);
-        engine.merge_fault_counts(port.fault_counts());
+        let mut faulty = FaultyPort::new(port, plan);
+        let run = engine.try_run_to_completion(&mut faulty);
+        engine.merge_fault_counts(faulty.fault_counts());
         run?;
-        port.into_inner()
+        port = faulty.into_inner();
     } else {
-        engine.try_run_to_completion(&mut mem)?;
-        mem
-    };
-    let verified = kernel.check(mem.memory_mut()).is_ok();
-
-    // Size the SPM model to the kernel's footprint.
-    let (lo, hi) = kernel.init_span();
-    let footprint = (hi.saturating_sub(lo)).next_power_of_two().max(1024);
-    let spm = SramSpec::new(footprint, cfg.spm_word_bytes)
-        .with_ports(cfg.spm_read_ports, cfg.spm_write_ports);
-
+        engine.try_run_to_completion(&mut port)?;
+    }
+    let (verified, spm) = finish(port);
     Ok(RunReport::assemble(
         &kernel.name,
         engine.stats(),
@@ -436,7 +393,7 @@ impl HierarchyPort {
     }
 }
 
-impl salam_runtime::MemPort for HierarchyPort {
+impl MemPort for HierarchyPort {
     fn begin_cycle(&mut self) {
         self.cycle += 1;
         self.reads_left = self.read_budget;
@@ -500,29 +457,39 @@ impl salam_runtime::MemPort for HierarchyPort {
 /// The returned report's SPM fields describe the cache's SRAM array; output
 /// verification reads the memory hierarchy functionally (cache contents win
 /// over stale DRAM lines).
+///
+/// # Panics
+///
+/// Panics on any [`SimError`], like [`run_kernel`].
 pub fn run_kernel_cached(
     kernel: &BuiltKernel,
     cfg: &StandaloneConfig,
     cache: memsys::CacheConfig,
 ) -> RunReport {
-    let cdfg = StaticCdfg::elaborate(&kernel.func, &cfg.profile, &cfg.constraints);
-    let mut port = HierarchyPort::cache_hierarchy(
+    run_on(
         kernel,
-        cache,
-        cfg.engine.clock_period_ps,
-        cfg.spm_read_ports,
-    );
-    let mut engine = Engine::new(
-        kernel.func.clone(),
-        cdfg.clone(),
-        cfg.profile.clone(),
-        cfg.engine,
-        kernel.args.clone(),
-    );
-    engine.run_to_completion(&mut port);
+        cfg,
+        &RunOptions::default(),
+        || {
+            HierarchyPort::cache_hierarchy(
+                kernel,
+                cache,
+                cfg.engine.clock_period_ps,
+                cfg.spm_read_ports,
+            )
+        },
+        |port| {
+            let spm = SramSpec::new(cache.size_bytes.max(1024), 8).with_ports(1, 1);
+            (check_through_cache(kernel, port), spm)
+        },
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
 
-    // Verify by draining the hierarchy: issue functional reads through the
-    // cache so dirty lines are observed.
+/// Verifies `kernel` by draining the hierarchy: functional reads issued
+/// through the cache observe dirty lines before stale DRAM.
+fn check_through_cache(kernel: &BuiltKernel, port: HierarchyPort) -> bool {
+    use salam_ir::interp::Memory as _;
     let l1 = port.target();
     let mut sim = port.into_simulation();
     let (lo, hi) = kernel.footprint;
@@ -538,33 +505,19 @@ pub fn run_kernel_cached(
             memsys::MemMsg::Req(memsys::MemReq::read(id, addr, chunk, sink)),
         );
         id += 1;
-        addr += chunk as u64;
+        addr += u64::from(chunk);
     }
     sim.run();
     let mut mem = salam_ir::interp::SparseMemory::new();
-    {
-        use salam_ir::interp::Memory as _;
-        let col = sim
-            .component_as::<memsys::test_util::Collector>(sink)
-            .unwrap();
-        for r in &col.resps {
-            if let Some(d) = &r.data {
-                mem.write(r.addr, d);
-            }
+    let col = sim
+        .component_as::<memsys::test_util::Collector>(sink)
+        .expect("sink is a collector");
+    for r in &col.resps {
+        if let Some(d) = &r.data {
+            mem.write(r.addr, d);
         }
     }
-    let verified = kernel.check(&mut mem).is_ok();
-
-    let spm = SramSpec::new(cache.size_bytes.max(1024), 8).with_ports(1, 1);
-    RunReport::assemble(
-        &kernel.name,
-        engine.stats(),
-        &cdfg,
-        &cfg.profile,
-        Some(&spm),
-        cfg.engine.clock_period_ps,
-        verified,
-    )
+    kernel.check(&mut mem).is_ok()
 }
 
 #[cfg(test)]
@@ -634,6 +587,30 @@ mod tests {
             big.cycles,
             small.cycles
         );
+    }
+
+    #[test]
+    fn cached_report_bytes_are_pinned() {
+        // FNV-1a digests of `run_kernel_cached(..).to_json()`; a change
+        // here means the cache path no longer reproduces its reports.
+        let gemm = machsuite::gemm::build(&machsuite::gemm::Params { n: 8, unroll: 1 });
+        let stencil = machsuite::stencil2d::build(&machsuite::stencil2d::Params::default());
+        let mut got = Vec::new();
+        for k in [&gemm, &stencil] {
+            for kib in [1, 16] {
+                let cache = memsys::CacheConfig::default().with_size(kib * 1024);
+                let r = run_kernel_cached(k, &StandaloneConfig::default(), cache);
+                assert!(r.verified, "{} at {kib} KiB", k.name);
+                got.push(salam_resilience::fnv1a64(r.to_json().as_bytes()));
+            }
+        }
+        let pinned: [u64; 4] = [
+            0x859a_4bc9_45f6_cf62,
+            0x7ae5_f7b3_32e9_8072,
+            0x381f_24d4_be28_6fc4,
+            0x7db2_2658_0fa5_ca10,
+        ];
+        assert_eq!(got, pinned, "{got:#x?}");
     }
 
     #[test]
@@ -747,28 +724,59 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_fault_plan_is_observationally_free() {
+    fn passive_run_options_leave_report_bytes_unchanged() {
         let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 2 });
         let cfg = StandaloneConfig::default();
-        let clean = run_kernel(&k, &cfg);
-        let faulted = try_run_kernel_faulted(&k, &cfg, &FaultPlan::seeded(42)).unwrap();
-        assert_eq!(clean.to_json(), faulted.to_json());
+        let clean = try_run_kernel(&k, &cfg).unwrap().to_json();
+        let zero_rate = FaultPlan::seeded(42);
+        let flight = salam_telemetry::FlightRecorder::enabled(64);
+        let cases = [
+            ("default", RunOptions::default()),
+            (
+                "zero-rate fault plan",
+                RunOptions {
+                    fault: Some(&zero_rate),
+                    ..RunOptions::default()
+                },
+            ),
+            (
+                "trace sink",
+                RunOptions {
+                    trace: salam_obs::SharedTrace::enabled(),
+                    ..RunOptions::default()
+                },
+            ),
+            (
+                "flight recorder",
+                RunOptions {
+                    flight: flight.clone(),
+                    trace_id: 7,
+                    ..RunOptions::default()
+                },
+            ),
+            (
+                "live cancel token",
+                RunOptions {
+                    cancel: salam_resilience::CancelToken::new(),
+                    ..RunOptions::default()
+                },
+            ),
+        ];
+        for (label, opts) in &cases {
+            let r = try_run_kernel_with(&k, &cfg, opts).unwrap();
+            assert_eq!(r.to_json(), clean, "{label} perturbed the report");
+        }
+        assert!(!flight.is_empty(), "the enabled recorder saw the run");
     }
 
     #[test]
     fn expired_deadline_cancels_within_one_cycle_batch() {
         let k = machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 });
-        let cfg = StandaloneConfig::default();
-        let token = salam_resilience::CancelToken::with_deadline_ms(0);
-        match try_run_kernel_controlled(
-            &k,
-            &cfg,
-            &salam_obs::SharedTrace::disabled(),
-            None,
-            &salam_telemetry::FlightRecorder::disabled(),
-            0,
-            &token,
-        ) {
+        let opts = RunOptions {
+            cancel: salam_resilience::CancelToken::with_deadline_ms(0),
+            ..RunOptions::default()
+        };
+        match try_run_kernel_with(&k, &StandaloneConfig::default(), &opts) {
             Err(SimError::Cancelled {
                 kernel,
                 cycle,
@@ -785,19 +793,6 @@ mod tests {
             }
             other => panic!("expected a timeout, got {other:?}"),
         }
-        // A disabled token is observationally free.
-        let clean = run_kernel(&k, &cfg);
-        let controlled = try_run_kernel_controlled(
-            &k,
-            &cfg,
-            &salam_obs::SharedTrace::disabled(),
-            None,
-            &salam_telemetry::FlightRecorder::disabled(),
-            0,
-            &salam_resilience::CancelToken::new(),
-        )
-        .unwrap();
-        assert_eq!(clean.to_json(), controlled.to_json());
     }
 
     #[test]
@@ -809,7 +804,11 @@ mod tests {
             mem_drop_rate: 1.0,
             ..FaultPlan::seeded(3)
         };
-        match try_run_kernel_faulted(&k, &cfg, &plan) {
+        let opts = RunOptions {
+            fault: Some(&plan),
+            ..RunOptions::default()
+        };
+        match try_run_kernel_with(&k, &cfg, &opts) {
             Err(SimError::Deadlock(snap)) => {
                 assert_eq!(snap.kernel, "gemm_ncubed");
                 assert!(snap.mem_outstanding > 0, "reads must be stuck in flight");

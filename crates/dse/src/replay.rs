@@ -28,7 +28,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hw_profile::SramSpec;
 use machsuite::BuiltKernel;
 use salam::standalone::{run_kernel, try_run_kernel_profiled, StandaloneConfig};
 use salam::RunReport;
@@ -497,10 +496,7 @@ fn synthesize_report(
     stats.timeline = Vec::new();
     // Same SPM sizing rule as the standalone harness, under the point's
     // port/word knobs.
-    let (lo, hi) = kernel.init_span();
-    let footprint = (hi.saturating_sub(lo)).next_power_of_two().max(1024);
-    let spm = SramSpec::new(footprint, cfg.spm_word_bytes)
-        .with_ports(cfg.spm_read_ports, cfg.spm_write_ports);
+    let spm = cfg.spm_spec(kernel);
     RunReport::assemble(
         &kernel.name,
         &stats,

@@ -2,11 +2,11 @@
 //!
 //! This crate is the static-analysis substrate for the verifier, the
 //! lint driver and design-space pruning: a generic worklist
-//! [solver](crate::solver) over a [`Lattice`] trait (join, transfer, and
+//! [solver] over a [`Lattice`] trait (join, transfer, and
 //! widening-after-K so infinite-height domains provably terminate), plus
 //! five client passes:
 //!
-//! 1. [sparse conditional constant propagation](crate::sccp) — folds
+//! 1. [sparse conditional constant propagation](mod@crate::sccp) — folds
 //!    integer computation seeded from the runtime argument bindings and
 //!    proves blocks dead;
 //! 2. [interval value-range analysis](crate::ranges) — a sound enclosing

@@ -3,7 +3,7 @@
 //! The pass pattern-matches each natural loop against the canonical
 //! counted shape — `phi [init, preheader], [phi + step, latch]` with an
 //! `icmp {slt,ult,sle,ule} phi, bound` feeding the header's `cond_br` —
-//! and resolves `init`, `step` and `bound` through [SCCP](crate::sccp)
+//! and resolves `init`, `step` and `bound` through [SCCP](mod@crate::sccp)
 //! constants, so bounds computed from scalar arguments (`n * n`, `n - 1`)
 //! fold too. A matched loop yields the *exact* per-entry iteration count.
 //!

@@ -18,10 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod memdep;
 pub mod netlist;
 pub mod scheduler;
 
-pub use memdep::{profile_memdeps, MemDeps};
 pub use netlist::{estimate_netlist, NetlistReport};
 pub use scheduler::{estimate_cycles, BlockTrips, HlsConfig, HlsReport};

@@ -83,7 +83,7 @@ pub fn estimate_cycles(
     cdfg: &StaticCdfg,
     cfg_hls: &HlsConfig,
     trips: &BlockTrips,
-    memdeps: Option<&crate::memdep::MemDeps>,
+    memdeps: Option<&salam_verify::memdep::MemDeps>,
 ) -> HlsReport {
     let cfg = Cfg::new(f);
     let dom = DomTree::new(f, &cfg);

@@ -1,11 +1,12 @@
 //! Regression lock: moving the memory-dependence profiler into
 //! `salam-verify` must not change the scheduler's output. The estimates
-//! below were produced by the pre-move implementation; the re-exported
+//! below were produced by the pre-move implementation; the moved
 //! pass has to reproduce them exactly.
 
 use hw_profile::HardwareProfile;
 use salam_cdfg::{FuConstraints, StaticCdfg};
-use salam_hls::{estimate_cycles, profile_memdeps, BlockTrips, HlsConfig};
+use salam_hls::{estimate_cycles, BlockTrips, HlsConfig};
+use salam_verify::profile_memdeps;
 
 fn schedule(k: &machsuite::BuiltKernel) -> u64 {
     let profile = HardwareProfile::default_40nm();

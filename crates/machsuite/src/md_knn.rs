@@ -47,7 +47,6 @@ pub fn layout(p: &Params) -> (u64, u64, u64, u64, u64, u64, u64) {
 }
 
 /// Golden force computation.
-#[allow(clippy::too_many_arguments)]
 pub fn golden(
     x: &[f64],
     y: &[f64],

@@ -201,7 +201,8 @@ pub struct DepOp {
     pub commit: u64,
     /// Uids of the producers this instance depended on.
     pub deps: Vec<u64>,
-    /// Replay metadata (defaulted for streams recorded via [`DepStream::record`]).
+    /// Replay metadata; [`DepStream::record`] defaults it and replay-feeding
+    /// recorders set it on the returned op.
     pub meta: DepMeta,
 }
 
@@ -230,10 +231,10 @@ impl DepStream {
         intern(&mut self.classes, s)
     }
 
-    /// Appends a committed op. Deps should reference earlier uids; unknown
-    /// uids (e.g. terminators that never issue) are tolerated by the
-    /// analyzer. Replay metadata is defaulted; recorders that feed the
-    /// replay fast path use [`DepStream::record_meta`].
+    /// Appends a committed op and returns it, so a recorder that feeds
+    /// the replay fast path can set its [`DepOp::meta`] (defaulted here).
+    /// Deps should reference earlier uids; unknown uids (e.g. terminators
+    /// that never issue) are tolerated by the analyzer.
     pub fn record(
         &mut self,
         uid: u64,
@@ -242,22 +243,7 @@ impl DepStream {
         issue: u64,
         commit: u64,
         deps: Vec<u64>,
-    ) {
-        self.record_meta(uid, name, class, issue, commit, deps, DepMeta::default());
-    }
-
-    /// Appends a committed op together with its replay metadata.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_meta(
-        &mut self,
-        uid: u64,
-        name: &str,
-        class: &str,
-        issue: u64,
-        commit: u64,
-        deps: Vec<u64>,
-        meta: DepMeta,
-    ) {
+    ) -> &mut DepOp {
         let name = self.intern_name(name);
         let class = self.intern_class(class);
         self.ops.push(DepOp {
@@ -267,8 +253,9 @@ impl DepStream {
             issue,
             commit,
             deps,
-            meta,
+            meta: DepMeta::default(),
         });
+        self.ops.last_mut().expect("just pushed")
     }
 
     /// Ops in commit order.
@@ -595,42 +582,26 @@ mod tests {
     fn depstream_json_roundtrip_preserves_everything() {
         let mut s = DepStream::new();
         s.record(1, "load", "load", 0, 2, vec![]);
-        s.record_meta(
-            2,
-            "fmul",
-            "fp_mul_f64",
-            3,
-            7,
-            vec![1],
-            DepMeta {
-                kind: OpKind::Compute,
-                latency: 4,
-                inst: 9,
-                group: 1,
-                ctrl: 1,
-                addr_dep: 0,
-                addr: 0,
-                size: 0,
-            },
-        );
-        s.record_meta(
-            3,
-            "store",
-            "store",
-            8,
-            9,
-            vec![2],
-            DepMeta {
-                kind: OpKind::Store,
-                latency: 1,
-                inst: 10,
-                group: 1,
-                ctrl: 1,
-                addr_dep: 2,
-                addr: 1024,
-                size: 8,
-            },
-        );
+        s.record(2, "fmul", "fp_mul_f64", 3, 7, vec![1]).meta = DepMeta {
+            kind: OpKind::Compute,
+            latency: 4,
+            inst: 9,
+            group: 1,
+            ctrl: 1,
+            addr_dep: 0,
+            addr: 0,
+            size: 0,
+        };
+        s.record(3, "store", "store", 8, 9, vec![2]).meta = DepMeta {
+            kind: OpKind::Store,
+            latency: 1,
+            inst: 10,
+            group: 1,
+            ctrl: 1,
+            addr_dep: 2,
+            addr: 1024,
+            size: 8,
+        };
         let json = s.to_json();
         let back = DepStream::from_json(&json).unwrap();
         assert_eq!(back, s);

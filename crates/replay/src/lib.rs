@@ -751,15 +751,16 @@ fn run(
         let mut retimed = DepStream::new();
         for i in order {
             let src = &stream.ops()[prep.stream_pos[i]];
-            retimed.record_meta(
-                src.uid,
-                stream.name(src.name),
-                stream.class(src.class),
-                times[i].0,
-                times[i].1,
-                src.deps.clone(),
-                src.meta,
-            );
+            retimed
+                .record(
+                    src.uid,
+                    stream.name(src.name),
+                    stream.class(src.class),
+                    times[i].0,
+                    times[i].1,
+                    src.deps.clone(),
+                )
+                .meta = src.meta;
         }
         retimed
     });
@@ -805,7 +806,9 @@ fn prepare(stream: &DepStream) -> Result<(Vec<ROp>, Vec<Group>), ReplayError> {
         // without metadata (legacy `record`) would classify them as
         // Compute — catch that here instead of mis-replaying.
         if (class == "load" || class == "store") && op.meta.kind == OpKind::Compute {
-            return bad("stream lacks replay metadata (recorded without record_meta?)".into());
+            return bad(
+                "stream lacks replay metadata (recorded without setting DepOp::meta?)".into(),
+            );
         }
         for &d in &op.deps {
             if d == 0 || d > n as u64 {
@@ -891,33 +894,9 @@ mod tests {
     #[test]
     fn serial_chain_takes_latency_sum_plus_drain() {
         let mut s = DepStream::new();
-        s.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s.record_meta(
-            2,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s.record_meta(
-            3,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![2],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
+        s.record(1, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 1, 0, 0);
+        s.record(2, "add", "int_adder", 0, 0, vec![1]).meta = meta(OpKind::Compute, 1, 0, 0);
+        s.record(3, "ret", "other", 0, 0, vec![2]).meta = meta(OpKind::Compute, 0, 0, 0);
         let cfg = ReplayConfig {
             fu_pool: pool(&[(FuKind::IntAdder, 4)]),
             ..ReplayConfig::default()
@@ -935,33 +914,9 @@ mod tests {
     fn fu_pool_limit_serializes_and_charges_fu_limit() {
         let build = || {
             let mut s = DepStream::new();
-            s.record_meta(
-                1,
-                "add",
-                "int_adder",
-                0,
-                0,
-                vec![],
-                meta(OpKind::Compute, 3, 0, 0),
-            );
-            s.record_meta(
-                2,
-                "add",
-                "int_adder",
-                0,
-                0,
-                vec![],
-                meta(OpKind::Compute, 3, 0, 0),
-            );
-            s.record_meta(
-                3,
-                "ret",
-                "other",
-                0,
-                0,
-                vec![1, 2],
-                meta(OpKind::Compute, 0, 0, 0),
-            );
+            s.record(1, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 3, 0, 0);
+            s.record(2, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 3, 0, 0);
+            s.record(3, "ret", "other", 0, 0, vec![1, 2]).meta = meta(OpKind::Compute, 0, 0, 0);
             s
         };
         let wide = replay(
@@ -992,31 +947,16 @@ mod tests {
         let build = || {
             let mut s = DepStream::new();
             for uid in 1..=4u64 {
-                s.record_meta(
-                    uid,
-                    "load",
-                    "load",
-                    0,
-                    0,
-                    vec![],
-                    DepMeta {
-                        kind: OpKind::Load,
-                        latency: 1,
-                        addr: uid * 8,
-                        size: 8,
-                        ..DepMeta::default()
-                    },
-                );
+                s.record(uid, "load", "load", 0, 0, vec![]).meta = DepMeta {
+                    kind: OpKind::Load,
+                    latency: 1,
+                    addr: uid * 8,
+                    size: 8,
+                    ..DepMeta::default()
+                };
             }
-            s.record_meta(
-                5,
-                "ret",
-                "other",
-                0,
-                0,
-                vec![1, 2, 3, 4],
-                meta(OpKind::Compute, 0, 0, 0),
-            );
+            s.record(5, "ret", "other", 0, 0, vec![1, 2, 3, 4]).meta =
+                meta(OpKind::Compute, 0, 0, 0);
             s
         };
         let two = replay(
@@ -1045,31 +985,15 @@ mod tests {
     fn outstanding_cap_charges_mem_port() {
         let mut s = DepStream::new();
         for uid in 1..=2u64 {
-            s.record_meta(
-                uid,
-                "load",
-                "load",
-                0,
-                0,
-                vec![],
-                DepMeta {
-                    kind: OpKind::Load,
-                    latency: 1,
-                    addr: uid * 8,
-                    size: 8,
-                    ..DepMeta::default()
-                },
-            );
+            s.record(uid, "load", "load", 0, 0, vec![]).meta = DepMeta {
+                kind: OpKind::Load,
+                latency: 1,
+                addr: uid * 8,
+                size: 8,
+                ..DepMeta::default()
+            };
         }
-        s.record_meta(
-            3,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![1, 2],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
+        s.record(3, "ret", "other", 0, 0, vec![1, 2]).meta = meta(OpKind::Compute, 0, 0, 0);
         let out = replay(
             &s,
             &ReplayConfig {
@@ -1088,45 +1012,21 @@ mod tests {
     fn store_load_conflict_orders_and_mem_latency_retimes() {
         let build = || {
             let mut s = DepStream::new();
-            s.record_meta(
-                1,
-                "store",
-                "store",
-                0,
-                0,
-                vec![],
-                DepMeta {
-                    kind: OpKind::Store,
-                    latency: 1,
-                    addr: 64,
-                    size: 8,
-                    ..DepMeta::default()
-                },
-            );
-            s.record_meta(
-                2,
-                "load",
-                "load",
-                0,
-                0,
-                vec![],
-                DepMeta {
-                    kind: OpKind::Load,
-                    latency: 1,
-                    addr: 64,
-                    size: 8,
-                    ..DepMeta::default()
-                },
-            );
-            s.record_meta(
-                3,
-                "ret",
-                "other",
-                0,
-                0,
-                vec![2],
-                meta(OpKind::Compute, 0, 0, 0),
-            );
+            s.record(1, "store", "store", 0, 0, vec![]).meta = DepMeta {
+                kind: OpKind::Store,
+                latency: 1,
+                addr: 64,
+                size: 8,
+                ..DepMeta::default()
+            };
+            s.record(2, "load", "load", 0, 0, vec![]).meta = DepMeta {
+                kind: OpKind::Load,
+                latency: 1,
+                addr: 64,
+                size: 8,
+                ..DepMeta::default()
+            };
+            s.record(3, "ret", "other", 0, 0, vec![2]).meta = meta(OpKind::Compute, 0, 0, 0);
             s
         };
         let lat1 = replay(&build(), &ReplayConfig::default()).unwrap();
@@ -1148,42 +1048,10 @@ mod tests {
     #[test]
     fn group_import_waits_for_its_terminator() {
         let mut s = DepStream::new();
-        s.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 5, 0, 0),
-        );
-        s.record_meta(
-            2,
-            "br",
-            "other",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
-        s.record_meta(
-            3,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 1, 2),
-        );
-        s.record_meta(
-            4,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![3],
-            meta(OpKind::Compute, 0, 1, 2),
-        );
+        s.record(1, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 5, 0, 0);
+        s.record(2, "br", "other", 0, 0, vec![1]).meta = meta(OpKind::Compute, 0, 0, 0);
+        s.record(3, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 1, 1, 2);
+        s.record(4, "ret", "other", 0, 0, vec![3]).meta = meta(OpKind::Compute, 0, 1, 2);
         let out = replay(
             &s,
             &ReplayConfig {
@@ -1220,15 +1088,7 @@ mod tests {
         let mut s = DepStream::new();
         // An FU class with no pool entry could never issue; replay refuses
         // before scheduling instead of deadlocking mid-run.
-        s.record_meta(
-            1,
-            "fmul",
-            "fp_mul_dp",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 4, 0, 0),
-        );
+        s.record(1, "fmul", "fp_mul_dp", 0, 0, vec![]).meta = meta(OpKind::Compute, 4, 0, 0);
         let err = replay(&s, &ReplayConfig::default()).unwrap_err();
         assert!(matches!(err, ReplayError::BadStream(_)), "{err}");
         assert!(err.to_string().contains("fp_mul_dp"), "{err}");
@@ -1237,24 +1097,8 @@ mod tests {
     #[test]
     fn retimed_stream_keeps_ops_and_attribution_totals_match() {
         let mut s = DepStream::new();
-        s.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s.record_meta(
-            2,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
+        s.record(1, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 1, 0, 0);
+        s.record(2, "ret", "other", 0, 0, vec![1]).meta = meta(OpKind::Compute, 0, 0, 0);
         let out = replay(
             &s,
             &ReplayConfig {
@@ -1268,24 +1112,8 @@ mod tests {
 
         // Sweeps that only need cycles can skip building the stream.
         let mut s2 = DepStream::new();
-        s2.record_meta(
-            1,
-            "add",
-            "int_adder",
-            0,
-            0,
-            vec![],
-            meta(OpKind::Compute, 1, 0, 0),
-        );
-        s2.record_meta(
-            2,
-            "ret",
-            "other",
-            0,
-            0,
-            vec![1],
-            meta(OpKind::Compute, 0, 0, 0),
-        );
+        s2.record(1, "add", "int_adder", 0, 0, vec![]).meta = meta(OpKind::Compute, 1, 0, 0);
+        s2.record(2, "ret", "other", 0, 0, vec![1]).meta = meta(OpKind::Compute, 0, 0, 0);
         let lean = replay(
             &s2,
             &ReplayConfig {

@@ -818,15 +818,7 @@ impl Engine {
             self.committed[d.uid as usize] = true;
             self.mem_window.retain(|r| r.uid != d.uid);
             if let Some(ds) = self.stats.depstream.as_mut() {
-                ds.record_meta(
-                    d.uid,
-                    self.func.inst(d.inst).op.mnemonic(),
-                    d.res_class,
-                    d.issue_cycle,
-                    self.cycle,
-                    std::mem::take(&mut d.all_deps),
-                    dep_meta(&d),
-                );
+                record_dep(ds, &self.func, &mut d, self.cycle);
             }
             self.trace.end_span(d.tspan, self.trace_ts(self.cycle));
             progressed = true;
@@ -850,15 +842,7 @@ impl Engine {
                         self.profile.register.write_energy_pj_per_bit * d.bits as f64;
                 }
                 if let Some(ds) = self.stats.depstream.as_mut() {
-                    ds.record_meta(
-                        d.uid,
-                        self.func.inst(d.inst).op.mnemonic(),
-                        d.res_class,
-                        d.issue_cycle,
-                        cycle,
-                        std::mem::take(&mut d.all_deps),
-                        dep_meta(&d),
-                    );
+                    record_dep(ds, &self.func, &mut d, cycle);
                 }
                 self.trace.end_span(d.tspan, commit_ts);
                 progressed = true;
@@ -1106,15 +1090,7 @@ impl Engine {
                 }
                 self.committed[d.uid as usize] = true;
                 if let Some(ds) = self.stats.depstream.as_mut() {
-                    ds.record_meta(
-                        d.uid,
-                        self.func.inst(d.inst).op.mnemonic(),
-                        d.res_class,
-                        d.issue_cycle,
-                        cycle,
-                        std::mem::take(&mut d.all_deps),
-                        dep_meta(&d),
-                    );
+                    record_dep(ds, &self.func, &mut d, cycle);
                 }
                 // Chained op: a zero-duration span at the issue cycle.
                 self.trace.end_span(d.tspan, self.trace_ts(cycle));
@@ -1336,6 +1312,16 @@ impl Engine {
             _ => unreachable!("not a terminator"),
         }
     }
+}
+
+/// Appends `d`'s commit at `cycle` to the dependency stream. Kept out of
+/// line: recording is off on every run but the profiling ones.
+#[cold]
+fn record_dep(ds: &mut salam_obs::DepStream, func: &Function, d: &mut DynInst, cycle: u64) {
+    let deps = std::mem::take(&mut d.all_deps);
+    let name = func.inst(d.inst).op.mnemonic();
+    ds.record(d.uid, name, d.res_class, d.issue_cycle, cycle, deps)
+        .meta = dep_meta(d);
 }
 
 /// The replay metadata of a dynamic op at record time (see

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use salam::standalone::{try_run_kernel_controlled, StandaloneConfig};
+use salam::standalone::{try_run_kernel_with, RunOptions, StandaloneConfig};
 use salam_dse::{
     run_replay_sweep, run_sweep, CacheId, DseOptions, EngineKind, KernelSpec, Lookup, PointOutcome,
     ReplayOptions, ResultCache, StandalonePoint, SweepJob, SweepSpec, SweepTable,
@@ -1422,7 +1422,6 @@ fn worker_loop(inner: &Inner) {
                     *trace,
                     *chaos,
                     &cancel,
-                    TraceCtx::for_job(dispatched.task.job).trace_id,
                 );
                 let mut st = inner.state.lock().unwrap();
                 if run.from_cache {
@@ -1578,7 +1577,6 @@ fn stop_outcome(reason: StopReason, when: &str) -> JobOutcome {
 /// Executes one single run — cache probe, simulate under `catch_unwind`
 /// (with bounded, backoff-spaced retries on panic), store — and returns
 /// the outcome plus its telemetry by-products.
-#[allow(clippy::too_many_arguments)]
 fn run_single(
     inner: &Inner,
     job: JobId,
@@ -1587,8 +1585,8 @@ fn run_single(
     trace: bool,
     chaos: bool,
     cancel: &CancelToken,
-    trace_id: u64,
 ) -> SingleRun {
+    let trace_id = TraceCtx::for_job(job).trace_id;
     if let Some(reason) = cancel.poll() {
         return SingleRun {
             outcome: stop_outcome(reason, "before the run started"),
@@ -1634,15 +1632,14 @@ fn run_single(
             {
                 panic!("chaos: injected worker panic");
             }
-            try_run_kernel_controlled(
-                &point.kernel.build(),
-                &point.config,
-                &shared,
-                plan,
-                &inner.flight,
+            let opts = RunOptions {
+                trace: shared.clone(),
+                fault: plan,
+                flight: inner.flight.clone(),
                 trace_id,
-                cancel,
-            )
+                cancel: cancel.clone(),
+            };
+            try_run_kernel_with(&point.kernel.build(), &point.config, &opts)
         }));
         let mut watchdog_json = None;
         let outcome = match result {

@@ -28,7 +28,8 @@
 //!    reservation queue serializes its own imports, contributing
 //!    `(trips − 1) × advance` for the binding block.
 //!
-//! Block trip counts come from a profiling run ([`ProfileObserver`]'s
+//! Block trip counts come from a profiling run
+//! ([`ProfileObserver`](salam_ir::interp::ProfileObserver)'s
 //! `block_entries`), or — for the flow-strengthened bound — from the
 //! `salam-flow` trip-count inference, which needs no execution at all;
 //! the bound is exact with respect to the trips it is given. The cross-check `static_lower_bound ≤

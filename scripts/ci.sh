@@ -9,6 +9,9 @@ run() { echo "+ $*"; "$@"; }
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
+# Broken or ambiguous intra-doc links fail the build. --lib skips the
+# salam-serve binary, whose doc output would collide with its library's.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
 

@@ -70,7 +70,7 @@ fn salam_and_hls_agree_within_a_factor() {
         let k = bench.build_standard();
         let cfg = salam_bench::runners::tuned_standalone(bench);
         let salam = run_kernel(&k, &cfg);
-        let hls = salam_bench::runners::hls_cycles_with(
+        let hls = salam_bench::runners::hls_cycles(
             &k,
             &FuConstraints::unconstrained(),
             &HlsConfig {

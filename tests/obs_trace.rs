@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use salam::standalone::{run_kernel, run_kernel_traced, StandaloneConfig};
+use salam::standalone::{run_kernel, try_run_kernel_with, RunOptions, StandaloneConfig};
 use salam_bench::runners::run_kernel_observed;
 use salam_obs::{export_chrome_json, json, MetricsRegistry, SharedTrace};
 
@@ -14,7 +14,11 @@ fn gemm() -> machsuite::BuiltKernel {
 
 fn traced_gemm() -> (salam::RunReport, String) {
     let trace = SharedTrace::enabled();
-    let report = run_kernel_traced(&gemm(), &StandaloneConfig::default(), &trace);
+    let opts = RunOptions {
+        trace: trace.clone(),
+        ..RunOptions::default()
+    };
+    let report = try_run_kernel_with(&gemm(), &StandaloneConfig::default(), &opts).unwrap();
     let text = trace
         .with_recorder(export_chrome_json)
         .expect("trace enabled");

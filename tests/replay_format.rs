@@ -27,96 +27,48 @@ fn golden_stream() -> DepStream {
     let mut s = DepStream::new();
     let m = DepMeta::default;
     // Entry group: load -> add -> terminator.
-    s.record_meta(
-        1,
-        "ld.a",
-        "load",
-        0,
-        2,
-        vec![],
-        DepMeta {
-            kind: OpKind::Load,
-            latency: 1,
-            inst: 0,
-            addr: 64,
-            size: 4,
-            ..m()
-        },
-    );
-    s.record_meta(
-        2,
-        "add.acc",
-        "int_adder",
-        2,
-        3,
-        vec![1],
-        DepMeta {
-            latency: 1,
-            inst: 1,
-            ..m()
-        },
-    );
-    s.record_meta(
-        3,
-        "br.loop",
-        "control",
-        3,
-        3,
-        vec![2],
-        DepMeta { inst: 2, ..m() },
-    );
+    s.record(1, "ld.a", "load", 0, 2, vec![]).meta = DepMeta {
+        kind: OpKind::Load,
+        latency: 1,
+        inst: 0,
+        addr: 64,
+        size: 4,
+        ..m()
+    };
+    s.record(2, "add.acc", "int_adder", 2, 3, vec![1]).meta = DepMeta {
+        latency: 1,
+        inst: 1,
+        ..m()
+    };
+    s.record(3, "br.loop", "control", 3, 3, vec![2]).meta = DepMeta { inst: 2, ..m() };
     // Second group, fetched by the terminator: load -> fmul -> store.
-    s.record_meta(
-        4,
-        "ld.b",
-        "load",
-        4,
-        6,
-        vec![],
-        DepMeta {
-            kind: OpKind::Load,
-            latency: 1,
-            inst: 3,
-            group: 1,
-            ctrl: 3,
-            addr_dep: 2,
-            addr: 128,
-            size: 8,
-        },
-    );
-    s.record_meta(
-        5,
-        "fmul.c",
-        "fp_mul_dp",
-        6,
-        10,
-        vec![4, 2],
-        DepMeta {
-            latency: 4,
-            inst: 4,
-            group: 1,
-            ctrl: 3,
-            ..m()
-        },
-    );
-    s.record_meta(
-        6,
-        "st.c",
-        "store",
-        10,
-        12,
-        vec![5],
-        DepMeta {
-            kind: OpKind::Store,
-            latency: 1,
-            inst: 5,
-            group: 1,
-            ctrl: 3,
-            addr: 256,
-            size: 8,
-            ..m()
-        },
-    );
+    s.record(4, "ld.b", "load", 4, 6, vec![]).meta = DepMeta {
+        kind: OpKind::Load,
+        latency: 1,
+        inst: 3,
+        group: 1,
+        ctrl: 3,
+        addr_dep: 2,
+        addr: 128,
+        size: 8,
+    };
+    s.record(5, "fmul.c", "fp_mul_dp", 6, 10, vec![4, 2]).meta = DepMeta {
+        latency: 4,
+        inst: 4,
+        group: 1,
+        ctrl: 3,
+        ..m()
+    };
+    s.record(6, "st.c", "store", 10, 12, vec![5]).meta = DepMeta {
+        kind: OpKind::Store,
+        latency: 1,
+        inst: 5,
+        group: 1,
+        ctrl: 3,
+        addr: 256,
+        size: 8,
+        ..m()
+    };
     s
 }
 
