@@ -11,6 +11,7 @@
 use salam::standalone::{run_kernel, StandaloneConfig};
 use salam_bench::runners::{run_kernel_observed, wide_window};
 use salam_bench::table::Table;
+use salam_runtime::StallMix;
 
 fn main() {
     let kernel = machsuite::gemm::build(&machsuite::gemm::Params { n: 16, unroll: 16 });
@@ -38,9 +39,16 @@ fn main() {
             st.cycles.to_string(),
         ]);
         let stalls = st.stall_cycles.max(1) as f64;
-        let get = |k: &str| st.stall_breakdown.get(k).copied().unwrap_or(0) as f64;
-        let lc = get("load+compute");
-        let lsc = get("load+store+compute");
+        let get = |store| {
+            let mix = StallMix {
+                load: true,
+                store,
+                compute: true,
+            };
+            st.stall_breakdown[mix.index()] as f64
+        };
+        let lc = get(false);
+        let lsc = get(true);
         let other = st.stall_cycles as f64 - lc - lsc;
         b.row(vec![
             ports.to_string(),

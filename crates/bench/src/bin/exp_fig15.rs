@@ -18,6 +18,7 @@ use salam_dse::{
     metrics_rollup, objectives, pareto_frontier, run_sweep, Axis, DseOptions, KernelSpec,
     SweepSpec, SweepTable,
 };
+use salam_runtime::IssueClass;
 
 fn main() {
     let base = wide_window(
@@ -59,19 +60,19 @@ fn main() {
         let execp = st.new_exec_cycles as f64 / total * 100.0;
         // Percentages are over all cycles, like the paper's per-cycle
         // scheduling-activity plots.
-        let mix = |k: &str| st.mem_mix_cycles.get(k).copied().unwrap_or(0) as f64 / total * 100.0;
-        let sched =
-            |k: &str| st.class_active_cycles.get(k).copied().unwrap_or(0) as f64 / total * 100.0;
+        let pct = |n: u64| n as f64 / total * 100.0;
+        let [load_only, load_store, store_only] = st.mem_mix_cycles.map(pct);
+        let sched = |c: IssueClass| pct(st.class_active_cycles[c as usize]);
         let mut row: Vec<String> = point.coords.iter().map(|(_, v)| v.clone()).collect();
         row.extend([
             format!("{:.1}", st.stall_cycles as f64 / total * 100.0),
             format!("{execp:.1}"),
-            format!("{:.1}", mix("load")),
-            format!("{:.1}", mix("store")),
-            format!("{:.1}", mix("load+store")),
+            format!("{load_only:.1}"),
+            format!("{store_only:.1}"),
+            format!("{load_store:.1}"),
             format!("{:.1}", st.fu_occupancy(FuKind::FpMulF64) * 100.0),
-            format!("{:.1}", sched("float")),
-            format!("{:.1}", sched("load") + sched("store")),
+            format!("{:.1}", sched(IssueClass::Float)),
+            format!("{:.1}", sched(IssueClass::Load) + sched(IssueClass::Store)),
             st.cycles.to_string(),
             format!("{:.2}", r.power.total_mw()),
             r.dominant_bottleneck().to_string(),
@@ -106,7 +107,7 @@ fn main() {
             .zip(&run.outcomes)
             .map(|(p, o)| (p.label(), o.expect_payload())),
     );
-    println!("metrics rollup: {} series exported", reg.len());
+    println!("metrics rollup: {} series exported", reg.gauges().count());
     println!("dse: {}", run.summary());
     println!(
         "(a)=stall/exec columns, (b)=memory-mix vs fmul occupancy,\n\

@@ -11,8 +11,9 @@ use salam_aladdin::{derive_datapath, generate_trace, simulate_trace, AladdinMemM
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_hls::{estimate_cycles, BlockTrips, HlsConfig, HlsReport};
 use salam_ir::interp::{run_function, ProfileObserver, SparseMemory};
-use salam_obs::{MetricsRegistry, SharedTrace};
+use salam_obs::SharedTrace;
 use salam_runtime::{Engine, SimpleMem};
+use salam_telemetry::Telemetry;
 
 pub use salam::standalone::{run_kernel, StandaloneConfig};
 
@@ -25,7 +26,7 @@ pub fn run_kernel_observed(
     kernel: &BuiltKernel,
     cfg: &StandaloneConfig,
     trace_path: Option<&Path>,
-) -> (RunReport, MetricsRegistry) {
+) -> (RunReport, Telemetry) {
     let trace = SharedTrace::enabled();
     let opts = RunOptions {
         trace: trace.clone(),
@@ -38,7 +39,7 @@ pub fn run_kernel_observed(
             .expect("trace handle is enabled")
             .unwrap_or_else(|e| panic!("writing trace to {}: {e}", path.display()));
     }
-    let mut reg = MetricsRegistry::new();
+    let mut reg = Telemetry::new();
     report.export_metrics(&mut reg, &format!("accel.{}", kernel.name));
     (report, reg)
 }

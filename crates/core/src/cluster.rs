@@ -411,12 +411,12 @@ impl AcceleratorCluster {
     }
 
     /// Merges every component's [`sim_core::Component::stats`] into `reg`
-    /// under `prefix` — one dotted path per counter, e.g.
+    /// under `prefix` — one dotted-path gauge per counter, e.g.
     /// `system.cluster.dma.bytes_moved`.
     pub fn export_metrics(
         &self,
         sim: &Simulation<MemMsg>,
-        reg: &mut salam_obs::MetricsRegistry,
+        reg: &mut salam_telemetry::Telemetry,
         prefix: &str,
     ) {
         reg.merge_prefixed(prefix, sim.all_stats());

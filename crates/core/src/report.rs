@@ -2,7 +2,7 @@
 
 use hw_profile::{HardwareProfile, SramSpec};
 use salam_cdfg::StaticCdfg;
-use salam_runtime::EngineStats;
+use salam_runtime::{labeled_counts, EngineStats, IssueClass, StallMix, MEM_MIX_LABELS};
 
 /// Power decomposition in milliwatts, matching the categories of the
 /// paper's Fig. 4 (dynamic/static × functional units / registers / SPM).
@@ -145,10 +145,19 @@ impl RunReport {
             s.num_field("cycles", st.cycles as f64);
             s.num_field("new_exec_cycles", st.new_exec_cycles as f64);
             s.num_field("stall_cycles", st.stall_cycles as f64);
-            s.map_field("stall_breakdown", st.stall_breakdown.iter());
-            s.map_field("issued", st.issued.iter());
-            s.map_field("class_active_cycles", st.class_active_cycles.iter());
-            s.map_field("mem_mix_cycles", st.mem_mix_cycles.iter());
+            s.map_field(
+                "stall_breakdown",
+                labeled_counts(&StallMix::LABELS, &st.stall_breakdown),
+            );
+            s.map_field("issued", labeled_counts(&IssueClass::LABELS, &st.issued));
+            s.map_field(
+                "class_active_cycles",
+                labeled_counts(&IssueClass::LABELS, &st.class_active_cycles),
+            );
+            s.map_field(
+                "mem_mix_cycles",
+                labeled_counts(&MEM_MIX_LABELS, &st.mem_mix_cycles),
+            );
             s.object_field("fu_busy_cycle_sum", |m| {
                 for (k, v) in &st.fu_busy_cycle_sum {
                     m.num_field(k.name(), *v as f64);
@@ -172,10 +181,13 @@ impl RunReport {
                     m.num_field(class.label(), n as f64);
                 }
             });
-            s.map_field("reject_causes", st.reject_causes.iter());
+            s.map_field(
+                "reject_causes",
+                st.reject_causes.iter().map(|(k, &n)| (k, n)),
+            );
             // Emitted unconditionally (an empty map for clean runs), so a
             // zero-rate fault plan stays byte-identical to no fault layer.
-            s.map_field("fault_counts", st.fault_counts.iter());
+            s.map_field("fault_counts", st.fault_counts.iter().map(|(k, &n)| (k, n)));
         });
         o.finish()
     }
@@ -246,17 +258,6 @@ impl RunReport {
                 })
                 .collect()
         };
-        let static_keyed =
-            |key: &str| -> Result<std::collections::BTreeMap<&'static str, u64>, String> {
-                u64_map(key)?
-                    .into_iter()
-                    .map(|(k, n)| {
-                        intern_stat_label(&k)
-                            .map(|l| (l, n))
-                            .ok_or_else(|| format!("unknown label '{k}' in '{key}'"))
-                    })
-                    .collect()
-            };
         let fu_keyed = |key: &str| -> Result<Vec<(hw_profile::FuKind, u64)>, String> {
             u64_map(key)?
                 .into_iter()
@@ -284,10 +285,10 @@ impl RunReport {
             cycles: sf("cycles")? as u64,
             new_exec_cycles: sf("new_exec_cycles")? as u64,
             stall_cycles: sf("stall_cycles")? as u64,
-            stall_breakdown: u64_map("stall_breakdown")?.into_iter().collect(),
-            issued: static_keyed("issued")?,
-            class_active_cycles: static_keyed("class_active_cycles")?,
-            mem_mix_cycles: static_keyed("mem_mix_cycles")?,
+            stall_breakdown: dense_counts(u64_map, "stall_breakdown", &StallMix::LABELS)?,
+            issued: dense_counts(u64_map, "issued", &IssueClass::LABELS)?,
+            class_active_cycles: dense_counts(u64_map, "class_active_cycles", &IssueClass::LABELS)?,
+            mem_mix_cycles: dense_counts(u64_map, "mem_mix_cycles", &MEM_MIX_LABELS)?,
             fu_busy_cycle_sum: fu_keyed("fu_busy_cycle_sum")?.into_iter().collect(),
             fu_pool: fu_keyed("fu_pool")?
                 .into_iter()
@@ -328,33 +329,48 @@ impl RunReport {
     }
 
     /// Publishes the whole report — rollup, power breakdown, and every
-    /// engine counter — into `reg` under `prefix` (e.g. `accel.gemm`).
-    pub fn export_metrics(&self, reg: &mut salam_obs::MetricsRegistry, prefix: &str) {
-        reg.set(&format!("{prefix}.cycles"), self.cycles as f64);
-        reg.set(&format!("{prefix}.runtime_ns"), self.runtime_ns);
-        reg.set(
+    /// engine counter — as gauges of `reg` under `prefix` (e.g.
+    /// `accel.gemm`).
+    pub fn export_metrics(&self, reg: &mut salam_telemetry::Telemetry, prefix: &str) {
+        reg.gauge_set(&format!("{prefix}.cycles"), self.cycles as f64);
+        reg.gauge_set(&format!("{prefix}.runtime_ns"), self.runtime_ns);
+        reg.gauge_set(
             &format!("{prefix}.verified"),
             if self.verified { 1.0 } else { 0.0 },
         );
-        reg.set(
+        reg.gauge_set(
             &format!("{prefix}.area.datapath_um2"),
             self.datapath_area_um2,
         );
-        reg.set(&format!("{prefix}.area.spm_um2"), self.spm_area_um2);
-        reg.set(&format!("{prefix}.power.total_mw"), self.power.total_mw());
+        reg.gauge_set(&format!("{prefix}.area.spm_um2"), self.spm_area_um2);
+        reg.gauge_set(&format!("{prefix}.power.total_mw"), self.power.total_mw());
         for (label, mw) in self.power.components() {
-            reg.set(&format!("{prefix}.power.{label}_mw"), mw);
+            reg.gauge_set(&format!("{prefix}.power.{label}_mw"), mw);
         }
         self.stats.export_metrics(reg, &format!("{prefix}.engine"));
     }
 }
 
-/// Interns the engine's `&'static str` stat-map keys back from parsed
-/// strings. The label set is closed: issue classes plus the memory-mix
-/// combinations.
-fn intern_stat_label(s: &str) -> Option<&'static str> {
-    const LABELS: [&str; 6] = ["load", "store", "float", "int", "other", "load+store"];
-    LABELS.into_iter().find(|l| *l == s)
+/// Parses the sparse `{label: count}` map `key` (read by `u64_map`) back
+/// into its counter array. The label sets are closed, so an unknown label
+/// is an error.
+fn dense_counts<const N: usize, F>(
+    u64_map: F,
+    key: &str,
+    labels: &[&str; N],
+) -> Result<[u64; N], String>
+where
+    F: Fn(&str) -> Result<Vec<(String, u64)>, String>,
+{
+    let mut counts = [0; N];
+    for (k, n) in u64_map(key)? {
+        let i = labels
+            .iter()
+            .position(|l| *l == k)
+            .ok_or_else(|| format!("unknown label '{k}' in '{key}'"))?;
+        counts[i] = n;
+    }
+    Ok(counts)
 }
 
 /// A tiny nested-object JSON builder (two-space indent, insertion order).
@@ -424,14 +440,14 @@ impl JsonWriter {
         self.first = false;
     }
 
-    fn map_field<'a, K, I>(&mut self, k: &str, entries: I)
+    fn map_field<K, I>(&mut self, k: &str, entries: I)
     where
         K: AsRef<str>,
-        I: IntoIterator<Item = (K, &'a u64)>,
+        I: IntoIterator<Item = (K, u64)>,
     {
         self.object_field(k, |o| {
             for (key, v) in entries {
-                o.num_field(key.as_ref(), *v as f64);
+                o.num_field(key.as_ref(), v as f64);
             }
         });
     }

@@ -153,14 +153,14 @@ impl ResultCache {
         list_entries(&self.dir).iter().map(|e| e.bytes).sum()
     }
 
-    /// Publishes cache occupancy and eviction counters under `prefix`
-    /// (`{prefix}.entries`, `{prefix}.bytes`, `{prefix}.evictions`,
+    /// Publishes cache occupancy and eviction counters as gauges under
+    /// `prefix` (`{prefix}.entries`, `{prefix}.bytes`, `{prefix}.evictions`,
     /// `{prefix}.max_bytes`).
-    pub fn export_metrics(&self, reg: &mut salam_obs::MetricsRegistry, prefix: &str) {
-        reg.set(&format!("{prefix}.entries"), self.entry_count() as f64);
-        reg.set(&format!("{prefix}.bytes"), self.disk_bytes() as f64);
-        reg.set(&format!("{prefix}.evictions"), self.evictions() as f64);
-        reg.set(
+    pub fn export_metrics(&self, reg: &mut salam_telemetry::Telemetry, prefix: &str) {
+        reg.gauge_set(&format!("{prefix}.entries"), self.entry_count() as f64);
+        reg.gauge_set(&format!("{prefix}.bytes"), self.disk_bytes() as f64);
+        reg.gauge_set(&format!("{prefix}.evictions"), self.evictions() as f64);
+        reg.gauge_set(
             &format!("{prefix}.max_bytes"),
             self.max_bytes.map(|b| b as f64).unwrap_or(-1.0),
         );
@@ -498,7 +498,7 @@ mod tests {
             .count();
         assert_eq!(survivors, 1, "exactly one older entry must remain");
 
-        let mut reg = salam_obs::MetricsRegistry::new();
+        let mut reg = salam_telemetry::Telemetry::new();
         cache.export_metrics(&mut reg, "cache");
         assert_eq!(reg.get("cache.evictions"), Some(1.0));
         assert_eq!(reg.get("cache.entries"), Some(2.0));

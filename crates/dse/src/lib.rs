@@ -17,7 +17,7 @@
 //!   byte-identical whether it ran on one worker or sixteen, from the
 //!   cache or from scratch;
 //! * **reportable** — [`report`] renders CSV/JSON/text tables, rolls every
-//!   point's metrics into one [`salam_obs::MetricsRegistry`], and extracts
+//!   point's metrics into one [`salam_telemetry::Telemetry`], and extracts
 //!   the Pareto frontier over (cycles, area, power);
 //! * **panic-isolated** — each job runs under `catch_unwind` with a bounded
 //!   retry, so one diverging design point becomes a `failed:<cause>` row

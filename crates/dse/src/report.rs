@@ -3,7 +3,7 @@
 //! Fig. 15/16 trade-off views.
 
 use salam::RunReport;
-use salam_obs::MetricsRegistry;
+use salam_telemetry::Telemetry;
 
 /// A rendered sweep table: coordinate columns plus metric columns, rows in
 /// canonical point order. All cells are pre-formatted strings so the same
@@ -227,8 +227,8 @@ pub fn objectives(report: &RunReport) -> [f64; 3] {
 pub fn metrics_rollup<'a>(
     sweep: &str,
     points: impl IntoIterator<Item = (String, &'a RunReport)>,
-) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
+) -> Telemetry {
+    let mut reg = Telemetry::new();
     for (label, report) in points {
         report.export_metrics(&mut reg, &format!("dse.{sweep}.{label}"));
     }

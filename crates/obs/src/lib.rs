@@ -2,7 +2,7 @@
 //!
 //! Everything in this crate is dependency-free on purpose: the workspace
 //! builds offline, and the instrumentation layer must never be the reason a
-//! simulation behaves differently. Three pieces:
+//! simulation behaves differently. Two pieces:
 //!
 //! * [`trace`] — a [`TraceSink`] trait plus a ring-buffer [`TraceRecorder`]
 //!   collecting sim-time-stamped spans (op issue→retire, DMA transfers,
@@ -12,9 +12,9 @@
 //! * [`chrome`] — serialises a recorder into Chrome `trace_event` JSON so
 //!   any run opens in Perfetto or `chrome://tracing`, one track per
 //!   component, overlapping spans fanned out onto lanes.
-//! * [`registry`] — a [`MetricsRegistry`] of dotted-path metrics
-//!   (`cluster0.gemm.engine.stall_cycles`) unifying component stats,
-//!   engine stats and memsys counters behind one JSON/table dump.
+//!
+//! Metrics live in `salam-telemetry`'s typed registry, which builds on
+//! this crate's [`json`] escaping.
 //!
 //! The profiling layer builds on the spine: [`profile`] defines the
 //! per-cycle attribution taxonomy ([`profile::Attribution`]) and the
@@ -35,7 +35,6 @@ pub mod critpath;
 pub mod det;
 pub mod json;
 pub mod profile;
-pub mod registry;
 pub mod trace;
 
 pub use chrome::{export_chrome_json, write_chrome_trace};
@@ -45,5 +44,4 @@ pub use profile::{
     depstream_to_trace, Attribution, CycleClass, DepMeta, DepOp, DepStream, OpKind,
     DEPSTREAM_FORMAT_VERSION,
 };
-pub use registry::MetricsRegistry;
 pub use trace::{SharedTrace, SpanId, TraceEvent, TraceRecorder, TraceSink, TrackId};

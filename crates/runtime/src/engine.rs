@@ -1,6 +1,6 @@
 //! The runtime scheduler: reservation, compute and memory queues.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use hw_profile::{FuKind, HardwareProfile};
 use salam_cdfg::StaticCdfg;
@@ -886,7 +886,7 @@ impl Engine {
 
         // 4b. Issue ready operations from the reservation queue.
         let mut issued_this_cycle = 0u64;
-        let mut classes_this_cycle: HashSet<&'static str> = HashSet::new();
+        let mut class_issued = [0u32; IssueClass::COUNT];
         // Ready (dependency-free) ops that could not launch this cycle —
         // the paper's notion of a stall.
         let mut blocked_mix = StallMix::default();
@@ -973,7 +973,7 @@ impl Engine {
                         // carries the touched address even when the op
                         // issued before its window publication.
                         d.span = Some((addr, size));
-                        d.tspan = self.register_issue(&d, &mut classes_this_cycle);
+                        d.tspan = self.register_issue(&d, &mut class_issued);
                         if d.is_store {
                             self.outstanding_writes += 1;
                             self.stats.stores += 1;
@@ -1050,7 +1050,7 @@ impl Engine {
             if jittered {
                 self.note_fault("fu_jitter", cycle);
             }
-            d.tspan = self.register_issue(&d, &mut classes_this_cycle);
+            d.tspan = self.register_issue(&d, &mut class_issued);
             issued_this_cycle += 1;
             if d.is_term {
                 self.handle_terminator(&d);
@@ -1110,13 +1110,11 @@ impl Engine {
         // 5. Cycle bookkeeping.
         if self.cfg.record_timeline {
             let mut rec = crate::stats::CycleRecord {
+                issued: class_issued,
                 mem_outstanding: (self.outstanding_reads + self.outstanding_writes) as u32,
                 stalled: blocked_any,
                 ..Default::default()
             };
-            for c in &classes_this_cycle {
-                *rec.issued.entry(c).or_insert(0) += 1;
-            }
             for (&k, &busy) in &self.fu_busy {
                 if busy > 0 {
                     rec.fu_busy.insert(k, busy);
@@ -1149,16 +1147,17 @@ impl Engine {
             }
         }
         if issued_this_cycle > 0 {
-            let ld = classes_this_cycle.contains("load");
-            let st = classes_this_cycle.contains("store");
+            let ld = class_issued[IssueClass::Load as usize] > 0;
+            let st = class_issued[IssueClass::Store as usize] > 0;
+            // Indexed like `MEM_MIX_LABELS`: load, load+store, store.
             match (ld, st) {
-                (true, true) => *self.stats.mem_mix_cycles.entry("load+store").or_insert(0) += 1,
-                (true, false) => *self.stats.mem_mix_cycles.entry("load").or_insert(0) += 1,
-                (false, true) => *self.stats.mem_mix_cycles.entry("store").or_insert(0) += 1,
+                (true, false) => self.stats.mem_mix_cycles[0] += 1,
+                (true, true) => self.stats.mem_mix_cycles[1] += 1,
+                (false, true) => self.stats.mem_mix_cycles[2] += 1,
                 (false, false) => {}
             }
-            for c in classes_this_cycle {
-                *self.stats.class_active_cycles.entry(c).or_insert(0) += 1;
+            for (active, &n) in self.stats.class_active_cycles.iter_mut().zip(&class_issued) {
+                *active += u64::from(n > 0);
             }
             progressed = true;
         }
@@ -1178,12 +1177,14 @@ impl Engine {
                     mix.load = true;
                 }
             }
-            let label = mix.label();
             if let Some(t) = &self.trace_tracks {
-                self.trace
-                    .instant(t.sched, &format!("stall:{label}"), self.trace_ts(cycle));
+                self.trace.instant(
+                    t.sched,
+                    &format!("stall:{}", mix.label()),
+                    self.trace_ts(cycle),
+                );
             }
-            *self.stats.stall_breakdown.entry(label).or_insert(0) += 1;
+            self.stats.stall_breakdown[mix.index()] += 1;
         } else if issued_this_cycle > 0 {
             self.stats.new_exec_cycles += 1;
         }
@@ -1260,10 +1261,14 @@ impl Engine {
         Ok(self.done)
     }
 
-    fn register_issue(&mut self, d: &DynInst, classes: &mut HashSet<&'static str>) -> SpanId {
+    fn register_issue(
+        &mut self,
+        d: &DynInst,
+        class_issued: &mut [u32; IssueClass::COUNT],
+    ) -> SpanId {
         self.issued[d.uid as usize] = true;
-        *self.stats.issued.entry(d.class.label()).or_insert(0) += 1;
-        classes.insert(d.class.label());
+        self.stats.issued[d.class as usize] += 1;
+        class_issued[d.class as usize] += 1;
         // Register-file read energy for non-immediate operands.
         for o in &d.operands {
             if matches!(o, Operand::Inst(_)) {

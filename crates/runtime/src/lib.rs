@@ -65,4 +65,4 @@ mod stats;
 pub use engine::{Engine, EngineConfig, CANCEL_BATCH};
 pub use port::{FaultyPort, MemAccess, MemCompletion, MemPort, RejectCause, Rejection, SimpleMem};
 pub use salam_fault::{ConfigError, FaultPlan, SimError, WatchdogSnapshot};
-pub use stats::{CycleRecord, EngineStats, IssueClass, StallMix};
+pub use stats::{labeled_counts, CycleRecord, EngineStats, IssueClass, StallMix, MEM_MIX_LABELS};

@@ -9,32 +9,54 @@ use std::collections::BTreeMap;
 
 use hw_profile::FuKind;
 
-/// Classification of issued operations.
+/// Classification of issued operations. Variants are declared in label
+/// order, so `class as usize` indexes the per-class counter arrays
+/// ([`EngineStats::issued`], [`CycleRecord::issued`], …) and walking an
+/// array yields labels sorted, as the report JSON writes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IssueClass {
-    /// Memory read.
-    Load,
-    /// Memory write.
-    Store,
     /// Floating-point compute.
     Float,
     /// Integer / address compute.
     Int,
+    /// Memory read.
+    Load,
     /// Control, phi, casts and other wiring.
     Other,
+    /// Memory write.
+    Store,
 }
 
 impl IssueClass {
+    /// Number of classes: the length of the per-class counter arrays.
+    pub const COUNT: usize = 5;
+    /// Class labels, indexed by `class as usize` (sorted).
+    pub const LABELS: [&'static str; IssueClass::COUNT] =
+        ["float", "int", "load", "other", "store"];
+
     /// Short stable label.
     pub fn label(self) -> &'static str {
-        match self {
-            IssueClass::Load => "load",
-            IssueClass::Store => "store",
-            IssueClass::Float => "float",
-            IssueClass::Int => "int",
-            IssueClass::Other => "other",
-        }
+        IssueClass::LABELS[self as usize]
     }
+}
+
+/// Memory scheduling mix labels (sorted): cycles in which only loads
+/// issued, loads and stores both issued, or only stores issued — the
+/// index set of [`EngineStats::mem_mix_cycles`].
+pub const MEM_MIX_LABELS: [&str; 3] = ["load", "load+store", "store"];
+
+/// The `(label, count)` pairs of a counter array whose count is non-zero,
+/// in label order — the sparse form the report JSON and the metrics export
+/// write, where a label appears exactly when it was counted.
+pub fn labeled_counts<'a>(
+    labels: &'a [&'static str],
+    counts: &'a [u64],
+) -> impl Iterator<Item = (&'static str, u64)> + 'a {
+    labels
+        .iter()
+        .zip(counts)
+        .filter(|(_, &n)| n != 0)
+        .map(|(&l, &n)| (l, n))
 }
 
 /// Which kinds of unfinished work were pending during a stalled cycle —
@@ -50,23 +72,30 @@ pub struct StallMix {
 }
 
 impl StallMix {
+    /// Number of mixes: the length of [`EngineStats::stall_breakdown`].
+    pub const COUNT: usize = 8;
+    /// Mix labels, indexed by [`StallMix::index`] (sorted).
+    pub const LABELS: [&'static str; StallMix::COUNT] = [
+        "compute",
+        "load",
+        "load+compute",
+        "load+store",
+        "load+store+compute",
+        "none",
+        "store",
+        "store+compute",
+    ];
+
+    /// This mix's position in [`StallMix::LABELS`].
+    pub fn index(self) -> usize {
+        // LABELS position of each `load | store << 1 | compute << 2`.
+        const BY_BITS: [usize; 8] = [5, 1, 6, 3, 0, 2, 7, 4];
+        BY_BITS[self.load as usize | (self.store as usize) << 1 | (self.compute as usize) << 2]
+    }
+
     /// Canonical label like `"load+compute"`.
-    pub fn label(self) -> String {
-        let mut parts = Vec::new();
-        if self.load {
-            parts.push("load");
-        }
-        if self.store {
-            parts.push("store");
-        }
-        if self.compute {
-            parts.push("compute");
-        }
-        if parts.is_empty() {
-            "none".to_string()
-        } else {
-            parts.join("+")
-        }
+    pub fn label(self) -> &'static str {
+        StallMix::LABELS[self.index()]
     }
 }
 
@@ -75,8 +104,8 @@ impl StallMix {
 /// scheduling log that drives fine-grained occupancy exploration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleRecord {
-    /// Operations issued this cycle, per class label.
-    pub issued: BTreeMap<&'static str, u32>,
+    /// Operations issued this cycle, indexed by `IssueClass as usize`.
+    pub issued: [u32; IssueClass::COUNT],
     /// Busy functional units, per kind.
     pub fu_busy: BTreeMap<FuKind, u32>,
     /// Outstanding memory operations at cycle end.
@@ -94,16 +123,18 @@ pub struct EngineStats {
     pub new_exec_cycles: u64,
     /// Cycles with pending work but no issue.
     pub stall_cycles: u64,
-    /// Stalled cycles keyed by the pending-work mix label.
-    pub stall_breakdown: BTreeMap<String, u64>,
-    /// Issued operations per class.
-    pub issued: BTreeMap<&'static str, u64>,
-    /// Cycles in which each class issued at least once.
-    pub class_active_cycles: BTreeMap<&'static str, u64>,
-    /// Memory scheduling mix: cycles in which only loads issued (`"load"`),
-    /// only stores (`"store"`), or both (`"load+store"`) — Fig. 15b's
-    /// memory-parallelism view.
-    pub mem_mix_cycles: BTreeMap<&'static str, u64>,
+    /// Stalled cycles per pending-work mix, indexed by
+    /// [`StallMix::index`].
+    pub stall_breakdown: [u64; StallMix::COUNT],
+    /// Issued operations, indexed by `IssueClass as usize`.
+    pub issued: [u64; IssueClass::COUNT],
+    /// Cycles in which each class issued at least once, indexed by
+    /// `IssueClass as usize`.
+    pub class_active_cycles: [u64; IssueClass::COUNT],
+    /// Memory scheduling mix — cycles in which only loads, loads and
+    /// stores, or only stores issued, indexed like [`MEM_MIX_LABELS`]:
+    /// Fig. 15b's memory-parallelism view.
+    pub mem_mix_cycles: [u64; 3],
     /// Sum over cycles of busy units, per FU kind (occupancy numerator).
     pub fu_busy_cycle_sum: BTreeMap<FuKind, u64>,
     /// Allocated pool size per FU kind (occupancy denominator).
@@ -168,12 +199,12 @@ impl EngineStats {
 
     /// Total issued operations across classes.
     pub fn total_issued(&self) -> u64 {
-        self.issued.values().sum()
+        self.issued.iter().sum()
     }
 
     /// Issued count for one class.
     pub fn issued_class(&self, class: IssueClass) -> u64 {
-        self.issued.get(class.label()).copied().unwrap_or(0)
+        self.issued[class as usize]
     }
 
     /// Total dynamic datapath energy (FUs + registers) in picojoules.
@@ -181,49 +212,52 @@ impl EngineStats {
         self.fu_dynamic_pj + self.reg_read_pj + self.reg_write_pj
     }
 
-    /// Publish every counter into a [`salam_obs::MetricsRegistry`] under
-    /// `prefix` (dotted-path convention, e.g. `accel.gemm.engine`).
-    pub fn export_metrics(&self, reg: &mut salam_obs::MetricsRegistry, prefix: &str) {
+    /// Publish every counter as a gauge of `reg` under `prefix`
+    /// (dotted-path convention, e.g. `accel.gemm.engine`).
+    pub fn export_metrics(&self, reg: &mut salam_telemetry::Telemetry, prefix: &str) {
         let p = |s: &str| format!("{prefix}.{s}");
-        reg.set(&p("cycles"), self.cycles as f64);
-        reg.set(&p("new_exec_cycles"), self.new_exec_cycles as f64);
-        reg.set(&p("stall_cycles"), self.stall_cycles as f64);
-        reg.set(&p("stall_fraction"), self.stall_fraction());
-        for (label, n) in &self.stall_breakdown {
-            reg.set(&p(&format!("stall.{label}")), *n as f64);
+        reg.gauge_set(&p("cycles"), self.cycles as f64);
+        reg.gauge_set(&p("new_exec_cycles"), self.new_exec_cycles as f64);
+        reg.gauge_set(&p("stall_cycles"), self.stall_cycles as f64);
+        reg.gauge_set(&p("stall_fraction"), self.stall_fraction());
+        let maps: [(&str, &[&'static str], &[u64]); 4] = [
+            ("stall", &StallMix::LABELS, &self.stall_breakdown),
+            ("issued", &IssueClass::LABELS, &self.issued),
+            (
+                "active_cycles",
+                &IssueClass::LABELS,
+                &self.class_active_cycles,
+            ),
+            ("mem_mix", &MEM_MIX_LABELS, &self.mem_mix_cycles),
+        ];
+        for (group, labels, counts) in maps {
+            for (label, n) in labeled_counts(labels, counts) {
+                reg.gauge_set(&p(&format!("{group}.{label}")), n as f64);
+            }
         }
-        for (label, n) in &self.issued {
-            reg.set(&p(&format!("issued.{label}")), *n as f64);
-        }
-        reg.set(&p("issued.total"), self.total_issued() as f64);
-        for (label, n) in &self.class_active_cycles {
-            reg.set(&p(&format!("active_cycles.{label}")), *n as f64);
-        }
-        for (label, n) in &self.mem_mix_cycles {
-            reg.set(&p(&format!("mem_mix.{label}")), *n as f64);
-        }
+        reg.gauge_set(&p("issued.total"), self.total_issued() as f64);
         for kind in self.fu_pool.keys() {
-            reg.set(
+            reg.gauge_set(
                 &p(&format!("fu_occupancy.{kind:?}")),
                 self.fu_occupancy(*kind),
             );
         }
-        reg.set(&p("energy.fu_dynamic_pj"), self.fu_dynamic_pj);
-        reg.set(&p("energy.reg_read_pj"), self.reg_read_pj);
-        reg.set(&p("energy.reg_write_pj"), self.reg_write_pj);
-        reg.set(&p("mem.loads"), self.loads as f64);
-        reg.set(&p("mem.stores"), self.stores as f64);
-        reg.set(&p("mem.load_bytes"), self.load_bytes as f64);
-        reg.set(&p("mem.store_bytes"), self.store_bytes as f64);
-        reg.set(&p("mem.port_reject_cycles"), self.port_reject_cycles as f64);
+        reg.gauge_set(&p("energy.fu_dynamic_pj"), self.fu_dynamic_pj);
+        reg.gauge_set(&p("energy.reg_read_pj"), self.reg_read_pj);
+        reg.gauge_set(&p("energy.reg_write_pj"), self.reg_write_pj);
+        reg.gauge_set(&p("mem.loads"), self.loads as f64);
+        reg.gauge_set(&p("mem.stores"), self.stores as f64);
+        reg.gauge_set(&p("mem.load_bytes"), self.load_bytes as f64);
+        reg.gauge_set(&p("mem.store_bytes"), self.store_bytes as f64);
+        reg.gauge_set(&p("mem.port_reject_cycles"), self.port_reject_cycles as f64);
         for (class, n) in self.attribution.iter() {
-            reg.set(&p(&format!("attribution.{}", class.label())), n as f64);
+            reg.gauge_set(&p(&format!("attribution.{}", class.label())), n as f64);
         }
         for (cause, n) in &self.reject_causes {
-            reg.set(&p(&format!("reject.{cause}")), *n as f64);
+            reg.gauge_set(&p(&format!("reject.{cause}")), *n as f64);
         }
         for (kind, n) in &self.fault_counts {
-            reg.set(&p(&format!("fault.{kind}")), *n as f64);
+            reg.gauge_set(&p(&format!("fault.{kind}")), *n as f64);
         }
     }
 
@@ -238,26 +272,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stall_mix_labels() {
-        assert_eq!(StallMix::default().label(), "none");
-        assert_eq!(
-            StallMix {
-                load: true,
-                store: false,
-                compute: true
-            }
-            .label(),
-            "load+compute"
-        );
-        assert_eq!(
-            StallMix {
-                load: true,
-                store: true,
-                compute: true
-            }
-            .label(),
-            "load+store+compute"
-        );
+    fn label_tables_are_sorted_and_match_their_indices() {
+        // By `load | store << 1 | compute << 2`; all distinct, so
+        // `StallMix::index` is a bijection onto the table.
+        let by_bits = [
+            "none",
+            "load",
+            "store",
+            "load+store",
+            "compute",
+            "load+compute",
+            "store+compute",
+            "load+store+compute",
+        ];
+        for (bits, want) in by_bits.into_iter().enumerate() {
+            let mix = StallMix {
+                load: bits & 1 != 0,
+                store: bits & 2 != 0,
+                compute: bits & 4 != 0,
+            };
+            assert_eq!(mix.label(), want);
+        }
+        assert!(StallMix::LABELS.is_sorted() && IssueClass::LABELS.is_sorted());
+        assert!(MEM_MIX_LABELS.is_sorted());
+        let got: Vec<_> = labeled_counts(&IssueClass::LABELS, &[0, 3, 0, 0, 1]).collect();
+        assert_eq!(got, [("int", 3), ("store", 1)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use hw_profile::{FuKind, HardwareProfile};
 use salam_cdfg::{FuConstraints, StaticCdfg};
 use salam_ir::interp::RtVal;
 use salam_ir::{Function, FunctionBuilder, Type};
-use salam_runtime::{Engine, EngineConfig, SimpleMem};
+use salam_runtime::{Engine, EngineConfig, IssueClass, SimpleMem};
 
 /// A chain of dependent double multiplies per iteration, 16 iterations.
 fn serial_fmul_loop() -> Function {
@@ -17,6 +17,30 @@ fn serial_fmul_loop() -> Function {
         let x = fb.load(Type::F64, p, "x");
         let y = fb.fmul(x, x, "y");
         fb.store(y, p);
+    });
+    fb.ret();
+    fb.finish()
+}
+
+/// The serial loop unrolled 8 times: each iteration squares 8 independent
+/// elements, so loads, multiplies and stores of one iteration can issue in
+/// the same cycle.
+fn unrolled_fmul_loop() -> Function {
+    let mut fb = FunctionBuilder::new("unrolled", &[("a", Type::Ptr), ("n", Type::I64)]);
+    let a = fb.arg(0);
+    let n = fb.arg(1);
+    let zero = fb.i64c(0);
+    let width = fb.i64c(8);
+    fb.counted_loop("i", zero, n, |fb, iv| {
+        let base = fb.mul(iv, width, "base");
+        for k in 0..8 {
+            let off = fb.i64c(k);
+            let idx = fb.add(base, off, "idx");
+            let p = fb.gep1(Type::F64, a, idx, "p");
+            let x = fb.load(Type::F64, p, "x");
+            let y = fb.fmul(x, x, "y");
+            fb.store(y, p);
+        }
     });
     fb.ret();
     fb.finish()
@@ -142,31 +166,39 @@ fn fu_pool_stats_report_allocation() {
 
 #[test]
 fn timeline_records_every_cycle() {
-    let f = serial_fmul_loop();
+    let f = unrolled_fmul_loop();
     let profile = HardwareProfile::default_40nm();
     let cdfg = StaticCdfg::elaborate(&f, &profile, &FuConstraints::unconstrained());
-    let mut mem = SimpleMem::new(1, 2, 2);
-    mem.memory_mut().write_f64_slice(0x1000, &[1.5; 16]);
+    let mut mem = SimpleMem::new(1, 8, 8);
+    mem.memory_mut().write_f64_slice(0x1000, &[1.5; 32]);
     let mut e = Engine::new(
         f,
         cdfg,
         profile,
         EngineConfig {
             record_timeline: true,
+            reservation_entries: 512,
             ..EngineConfig::default()
         },
-        vec![RtVal::P(0x1000), RtVal::I(16)],
+        vec![RtVal::P(0x1000), RtVal::I(4)],
     );
     let cycles = e.run_to_completion(&mut mem);
     let st = e.stats();
     assert_eq!(st.timeline.len(), cycles as usize);
-    // Every issued load appears somewhere in the log.
-    let logged_loads: u32 = st
+    // Records count operations, not classes: summed over the run they
+    // equal the issue counters, and the unrolled body issues several
+    // loads in one cycle.
+    let mut logged = [0u64; IssueClass::COUNT];
+    for r in &st.timeline {
+        for (sum, &n) in logged.iter_mut().zip(&r.issued) {
+            *sum += u64::from(n);
+        }
+    }
+    assert_eq!(logged, st.issued);
+    assert!(st
         .timeline
         .iter()
-        .filter(|r| r.issued.contains_key("load"))
-        .count() as u32;
-    assert!(logged_loads > 0);
+        .any(|r| r.issued[IssueClass::Load as usize] > 1));
     // Multiplier busyness shows up in the middle of the run.
     assert!(st
         .timeline

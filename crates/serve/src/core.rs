@@ -18,7 +18,7 @@ use salam_dse::{
     ReplayOptions, ResultCache, StandalonePoint, SweepJob, SweepSpec, SweepTable,
 };
 use salam_fault::FaultPlan;
-use salam_obs::{MetricsRegistry, SpanId, TraceRecorder};
+use salam_obs::{SpanId, TraceRecorder};
 use salam_resilience::{
     BackoffPolicy, BreakerConfig, BreakerDecision, BreakerSet, CancelToken, Journal, StopReason,
 };
@@ -437,7 +437,8 @@ impl ServeCore {
     ///
     /// # Errors
     ///
-    /// A typed [`Rejection`]; rejected submissions never become jobs.
+    /// A typed [`Rejection`]; rejected submissions never become jobs. A
+    /// tenant name outside `[A-Za-z0-9_]{1,64}` is a `bad-request`.
     pub fn submit(&self, tenant: &str, req: JobRequest) -> Result<JobId, Rejection> {
         self.submit_with(tenant, req, SubmitOpts::default())
     }
@@ -466,6 +467,14 @@ impl ServeCore {
         opts: SubmitOpts,
         force_id: Option<JobId>,
     ) -> Result<JobId, Rejection> {
+        // Tenant names become metric label values and path segments, so
+        // they are checked before any state or counter mentions them.
+        if !valid_tenant(tenant) {
+            return Err(Rejection::new(
+                "bad-request",
+                format!("tenant must match [A-Za-z0-9_]{{1,64}}, got {tenant:?}"),
+            ));
+        }
         let gated = force_id.is_none();
         let prepared = self.prepare(&req);
         let mut st = self.inner.state.lock().unwrap();
@@ -1125,29 +1134,29 @@ impl ServeCore {
         }
     }
 
-    /// A full metrics dump: job/tenant counters plus cache occupancy and
-    /// the typed telemetry (histograms expand to `.count/.p50/…` gauges).
-    pub fn metrics(&self) -> MetricsRegistry {
-        self.metrics_registry(true)
+    /// A full metrics snapshot: job/tenant counts and cache occupancy as
+    /// gauges, the live typed telemetry (latency histograms, DSE point
+    /// counters), and the flight recorder's drop count. `to_json` renders
+    /// it as the `GET /metrics` payload.
+    pub fn metrics(&self) -> Telemetry {
+        let mut t = self.metrics_snapshot();
+        t.gauge_set("serve.flight.dropped", self.inner.flight.dropped() as f64);
+        t
     }
 
-    /// The Prometheus text exposition of the same metrics: counters and
+    /// The Prometheus text exposition of the same snapshot (without the
+    /// flight-recorder drop count, a JSON-only diagnostic): counters and
     /// gauges as scalar samples, latency histograms as cumulative
     /// `_bucket`/`_sum`/`_count` series. Served as
     /// `GET /metrics?format=prom` and the `{"op":"metrics","format":"prom"}`
     /// wire request.
     pub fn metrics_prom(&self) -> String {
-        // The registry must not include the telemetry expansion here: the
-        // histograms are emitted natively, and a `…_count` gauge next to a
-        // `…_count` histogram sample would be a duplicate family.
-        let reg = self.metrics_registry(false);
-        let st = self.inner.state.lock().unwrap();
-        salam_telemetry::prom::encode_with_gauges(&st.telemetry, &reg)
+        salam_telemetry::prom::encode(&self.metrics_snapshot())
     }
 
-    fn metrics_registry(&self, include_telemetry: bool) -> MetricsRegistry {
+    fn metrics_snapshot(&self) -> Telemetry {
         let st = self.inner.state.lock().unwrap();
-        let mut reg = MetricsRegistry::new();
+        let mut t = Telemetry::new();
         // done/failed are lifetime counters — terminal records past the
         // retention cap leave the job table, so counting states would
         // undercount. queued/running are never evicted.
@@ -1156,38 +1165,35 @@ impl ServeCore {
             JobState::Running => (acc.0, acc.1 + 1),
             _ => acc,
         });
-        reg.set("serve.jobs.submitted", st.submit_seq as f64);
-        reg.set("serve.jobs.done", st.done as f64);
-        reg.set("serve.jobs.failed", st.failed as f64);
-        reg.set("serve.jobs.queued", queued as f64);
-        reg.set("serve.jobs.running", running as f64);
-        reg.set("serve.jobs.rejected", st.rejected as f64);
-        reg.set("serve.jobs.coalesced", st.coalesced as f64);
-        reg.set("serve.jobs.shed", st.shed as f64);
-        reg.set("serve.jobs.cancelled", st.cancelled as f64);
-        reg.set("serve.jobs.timeout", st.timeouts as f64);
-        reg.set("serve.jobs.degraded", st.degraded as f64);
-        reg.set("serve.jobs.recovered", st.recovered as f64);
-        reg.set("serve.breaker.fastfail", st.breaker_fastfail as f64);
-        reg.set("serve.cache_hits", st.cache_hits as f64);
-        reg.set("serve.sim_runs", st.sim_runs as f64);
-        for (t, s) in &st.tenants {
-            let p = format!("serve.tenant.{t}");
-            reg.set(&format!("{p}.submitted"), s.submitted as f64);
-            reg.set(&format!("{p}.completed"), s.completed as f64);
-            reg.set(&format!("{p}.failed"), s.failed as f64);
-            reg.set(&format!("{p}.rejected"), s.rejected as f64);
-            reg.set(&format!("{p}.coalesced"), s.coalesced as f64);
-            reg.set(&format!("{p}.cache_hits"), s.cache_hits as f64);
+        t.gauge_set("serve.jobs.submitted", st.submit_seq as f64);
+        t.gauge_set("serve.jobs.done", st.done as f64);
+        t.gauge_set("serve.jobs.failed", st.failed as f64);
+        t.gauge_set("serve.jobs.queued", queued as f64);
+        t.gauge_set("serve.jobs.running", running as f64);
+        t.gauge_set("serve.jobs.rejected", st.rejected as f64);
+        t.gauge_set("serve.jobs.coalesced", st.coalesced as f64);
+        t.gauge_set("serve.jobs.shed", st.shed as f64);
+        t.gauge_set("serve.jobs.cancelled", st.cancelled as f64);
+        t.gauge_set("serve.jobs.timeout", st.timeouts as f64);
+        t.gauge_set("serve.jobs.degraded", st.degraded as f64);
+        t.gauge_set("serve.jobs.recovered", st.recovered as f64);
+        t.gauge_set("serve.breaker.fastfail", st.breaker_fastfail as f64);
+        t.gauge_set("serve.cache_hits", st.cache_hits as f64);
+        t.gauge_set("serve.sim_runs", st.sim_runs as f64);
+        for (tenant, s) in &st.tenants {
+            let p = format!("serve.tenant.{tenant}");
+            t.gauge_set(&format!("{p}.submitted"), s.submitted as f64);
+            t.gauge_set(&format!("{p}.completed"), s.completed as f64);
+            t.gauge_set(&format!("{p}.failed"), s.failed as f64);
+            t.gauge_set(&format!("{p}.rejected"), s.rejected as f64);
+            t.gauge_set(&format!("{p}.coalesced"), s.coalesced as f64);
+            t.gauge_set(&format!("{p}.cache_hits"), s.cache_hits as f64);
         }
         if let Some(cache) = &self.inner.cache {
-            cache.export_metrics(&mut reg, "serve.cache");
+            cache.export_metrics(&mut t, "serve.cache");
         }
-        if include_telemetry {
-            st.telemetry.export_to_registry(&mut reg);
-            reg.set("serve.flight.dropped", self.inner.flight.dropped() as f64);
-        }
-        reg
+        t.merge_from(&st.telemetry);
+        t
     }
 
     /// The stable one-line summary CI asserts on. The leading counters are
@@ -1744,6 +1750,17 @@ fn on_dispatch(st: &mut State, inner: &Inner, task: &Task) {
         "sched",
         format!("dispatch id={} class={kind} wait_us={wait_us}", task.job),
     );
+}
+
+/// Whether `tenant` is a valid tenant name: 1–64 characters from
+/// `[A-Za-z0-9_]`, so it is safe inside a `{tenant="…"}` metric label and
+/// a `serve.tenant.<name>` path, and no two names share a Prometheus
+/// family.
+fn valid_tenant(tenant: &str) -> bool {
+    (1..=64).contains(&tenant.len())
+        && tenant
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
 /// How many trailing flight-recorder events a post-mortem carries.

@@ -55,7 +55,7 @@ pub enum Request {
         /// `postmortem`.
         artifact: String,
     },
-    /// Dump the server metrics registry (JSON gauges).
+    /// Dump the server metrics snapshot (dotted-path JSON).
     Metrics,
     /// Dump the metrics in Prometheus text exposition format. The text
     /// rides back as a JSON string under `"prom"` on the native protocol;

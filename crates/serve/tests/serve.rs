@@ -93,6 +93,13 @@ fn multi_tenant_mix_end_to_end() {
         .submit("alice", kernel_job("gemm", &[("warp-speed", 9)]))
         .unwrap_err();
     assert_eq!(bad_knob.code, "bad-request");
+    // Tenant names become metric labels and paths, so a malformed one is
+    // refused before any counter or per-tenant record mentions it (the
+    // counts asserted below see only the traffic above).
+    for tenant in ["", "a,b", "a.b", "x\",class=\"cpu", &"t".repeat(65)] {
+        let r = core.submit(tenant, kernel_job("bfs", &[])).unwrap_err();
+        assert_eq!(r.code, "bad-request", "{tenant:?}");
+    }
 
     let s1 = core.wait(a1).unwrap();
     assert_eq!(s1.state, JobState::Done);
@@ -131,6 +138,10 @@ fn multi_tenant_mix_end_to_end() {
     assert_eq!(m.get("serve.tenant.alice.submitted"), Some(1.0));
     assert_eq!(m.get("serve.tenant.alice.rejected"), Some(3.0));
     assert_eq!(m.get("serve.tenant.bob.completed"), Some(2.0));
+    assert!(m
+        .gauges()
+        .filter_map(|(k, _)| k.strip_prefix("serve.tenant."))
+        .all(|k| k.starts_with("alice.") || k.starts_with("bob.")));
     assert!(
         m.get("serve.cache.entries").is_some(),
         "cache metrics ride along"
@@ -586,13 +597,14 @@ fn telemetry_records_latency_histograms_and_prometheus_exposition() {
     assert_eq!(core.wait(j1).unwrap().state, JobState::Done);
     assert_eq!(core.wait(j2).unwrap().state, JobState::Done);
 
-    // The JSON registry gains the histogram expansion.
+    // The snapshot carries the typed latency histograms.
     let m = core.metrics();
-    assert_eq!(m.get("serve.latency.e2e_us.count"), Some(2.0));
-    assert_eq!(m.get("serve.latency.e2e_us.class.kernel.count"), Some(2.0));
-    assert_eq!(m.get("serve.latency.e2e_us.tenant.alice.count"), Some(1.0));
-    assert_eq!(m.get("serve.latency.queue_us.count"), Some(2.0));
-    assert!(m.get("serve.latency.run_us.p99").is_some());
+    let count = |key: &str| m.hist(key).map(|h| h.count());
+    assert_eq!(count("serve.latency.e2e_us"), Some(2));
+    assert_eq!(count("serve.latency.e2e_us{class=\"kernel\"}"), Some(2));
+    assert_eq!(count("serve.latency.e2e_us{tenant=\"alice\"}"), Some(1));
+    assert_eq!(count("serve.latency.queue_us"), Some(2));
+    assert!(m.hist("serve.latency.run_us").is_some());
 
     // The Prometheus exposition is well-formed: typed families, cumulative
     // buckets with a +Inf bound, _sum/_count, and the plain gauges.
@@ -611,6 +623,43 @@ fn telemetry_records_latency_histograms_and_prometheus_exposition() {
     assert!(
         !prom.contains("# TYPE serve_latency_e2e_us_count gauge"),
         "histogram summaries must not leak into the gauge section: {prom}"
+    );
+
+    // The whole surface, pinned by digest: the sorted JSON keys with every
+    // value that does not depend on measured latency, and the sorted
+    // Prometheus `# TYPE` lines and series with values stripped (which
+    // finite `le` buckets exist depends on latency too). Key order may
+    // change; a changed digest means a key, value or series did.
+    let json = salam_obs::json::parse(&m.to_json()).unwrap();
+    let mut fixed: Vec<String> = json
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, v)| {
+            let latency = [".p50", ".p95", ".p99", ".max", ".mean"];
+            if latency.iter().any(|q| k.ends_with(q)) {
+                k.clone()
+            } else {
+                format!("{k}={}", v.as_f64().unwrap())
+            }
+        })
+        .collect();
+    fixed.sort();
+    let mut series: Vec<&str> = prom
+        .lines()
+        .filter(|l| !l.contains("_bucket{") || l.contains("le=\"+Inf\""))
+        .map(|l| match l.rsplit_once(' ') {
+            Some((series, _)) if !l.starts_with('#') => series,
+            _ => l,
+        })
+        .collect();
+    series.sort_unstable();
+    let (fixed, series) = (fixed.join("\n"), series.join("\n"));
+    let got = [fixed.as_bytes(), series.as_bytes()].map(salam_resilience::fnv1a64);
+    assert_eq!(
+        got,
+        [0xbb42_0d45_e26c_d9a8, 0x7db8_8f7e_c73e_88a6],
+        "{got:#x?}\n{fixed}\n{series}"
     );
 
     // The stats line carries the e2e percentiles (satellite 2).
@@ -667,7 +716,7 @@ fn every_job_gets_a_lifecycle_trace_and_telemetry_off_restores_the_baseline() {
     assert_eq!(off.wait(j).unwrap().state, JobState::Done);
     assert_eq!(off.artifact(j, "report").unwrap(), report_on);
     assert!(off.artifact(j, "trace").is_err());
-    assert!(off.metrics().get("serve.latency.e2e_us.count").is_none());
+    assert!(off.metrics().hist("serve.latency.e2e_us").is_none());
     let line = off.stats_line();
     assert!(line.contains("e2e_p50_ms=0.000"), "{line}");
     off.shutdown();

@@ -1,13 +1,14 @@
-//! Typed telemetry for the serving and sweep layers.
+//! Typed telemetry: the simulator's one metrics registry.
 //!
-//! [`salam_obs::MetricsRegistry`] stores point-in-time `f64` gauges; that
-//! is the right currency for simulation stats but cannot answer latency
-//! questions ("what is p99 end-to-end per tenant?"). This crate adds the
-//! three missing production pieces, all std-only:
+//! Every run, sweep and served request reports through [`Telemetry`]:
+//! engine stats, component counters and cache occupancy as gauges, serve
+//! and DSE event counts as counters, and latencies as histograms that can
+//! answer "what is p99 end-to-end per tenant?". All std-only:
 //!
-//! * [`Telemetry`] — a registry of monotonic counters and log-bucketed
-//!   [`Histogram`]s with optional `{label="value"}` key suffixes and a
-//!   deterministic (merge-order-independent) [`Telemetry::merge_from`];
+//! * [`Telemetry`] — a registry of monotonic counters, gauges and
+//!   log-bucketed [`Histogram`]s with optional `{label="value"}` key
+//!   suffixes, a deterministic (merge-order-independent)
+//!   [`Telemetry::merge_from`], and dotted-path JSON/table dumps;
 //! * [`JobTrace`]/[`TraceCtx`] — request-scoped span trees feeding the
 //!   existing Chrome `trace_event` exporter, one per served job;
 //! * [`prom`] — Prometheus text exposition (`# TYPE` + counter/gauge
@@ -35,11 +36,11 @@ pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::Histogram;
 pub use span::{JobTrace, TraceCtx};
 
-use salam_obs::MetricsRegistry;
+use salam_obs::json::escape;
 
 /// Builds a labeled metric key: `base{k="v",k2="v2"}` (Prometheus-style;
-/// the exposition encoder and the dotted-path exporter both parse it
-/// back). Labels with an empty value are skipped.
+/// the exposition encoder and the dotted-path dumps both parse it back).
+/// Labels with an empty value are skipped.
 pub fn labeled(base: &str, labels: &[(&str, &str)]) -> String {
     let mut out = String::from(base);
     let mut first = true;
@@ -145,30 +146,92 @@ impl Telemetry {
         }
     }
 
-    /// Exports everything into a dotted-path [`MetricsRegistry`] (the
-    /// JSON `/metrics` currency): `base{k="v"}` becomes `base.k.v`,
-    /// histograms expand to `.count/.p50/.p95/.p99/.max/.mean`.
-    pub fn export_to_registry(&self, reg: &mut MetricsRegistry) {
+    /// The scalar at `key`: a counter, else a gauge. Histograms are read
+    /// through [`Telemetry::hist`].
+    pub fn get(&self, key: &str) -> Option<f64> {
+        match self.counters.get(key) {
+            Some(&n) => Some(n as f64),
+            None => self.gauge(key),
+        }
+    }
+
+    /// Sets one gauge per `(name, value)` pair at `prefix.name` (at `name`
+    /// when `prefix` is empty) — the bulk import of component stats.
+    pub fn merge_prefixed<I, S>(&mut self, prefix: &str, pairs: I)
+    where
+        I: IntoIterator<Item = (S, f64)>,
+        S: AsRef<str>,
+    {
+        for (name, value) in pairs {
+            if prefix.is_empty() {
+                self.gauge_set(name.as_ref(), value);
+            } else {
+                self.gauge_set(&format!("{prefix}.{}", name.as_ref()), value);
+            }
+        }
+    }
+
+    /// Every metric as a dotted `path -> value` pair, in path order:
+    /// `base{k="v"}` becomes `base.k.v` and a histogram expands to
+    /// `.count/.p50/.p95/.p99/.max/.mean`.
+    fn flat(&self) -> BTreeMap<String, f64> {
+        let mut out = BTreeMap::new();
         for (k, v) in &self.counters {
-            reg.set(&dotted(k), *v as f64);
+            out.insert(dotted(k), *v as f64);
         }
         for (k, v) in &self.gauges {
-            reg.set(&dotted(k), *v);
+            out.insert(dotted(k), *v);
         }
         for (k, h) in &self.hists {
             let base = dotted(k);
-            reg.set(&format!("{base}.count"), h.count() as f64);
-            reg.set(&format!("{base}.p50"), h.p50() as f64);
-            reg.set(&format!("{base}.p95"), h.p95() as f64);
-            reg.set(&format!("{base}.p99"), h.p99() as f64);
-            reg.set(&format!("{base}.max"), h.max() as f64);
-            reg.set(&format!("{base}.mean"), h.mean());
+            out.insert(format!("{base}.count"), h.count() as f64);
+            out.insert(format!("{base}.p50"), h.p50() as f64);
+            out.insert(format!("{base}.p95"), h.p95() as f64);
+            out.insert(format!("{base}.p99"), h.p99() as f64);
+            out.insert(format!("{base}.max"), h.max() as f64);
+            out.insert(format!("{base}.mean"), h.mean());
         }
+        out
+    }
+
+    /// A flat JSON object of the dotted paths, `{"path": value, ...}`, in
+    /// path order; non-finite values are written as `null`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{");
+        for (i, (k, v)) in self.flat().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\n  \"{}\": {}", escape(k), fmt_value(*v)));
+        }
+        out.push_str("\n}\n");
+        out
+    }
+
+    /// A two-column, aligned text table of the dotted paths for terminal
+    /// dumps.
+    pub fn to_table(&self) -> String {
+        let flat = self.flat();
+        let width = flat.keys().map(String::len).max().unwrap_or(0);
+        let mut out = String::new();
+        for (k, v) in &flat {
+            out.push_str(&format!("{k:<width$}  {}\n", fmt_value(*v)));
+        }
+        out
     }
 }
 
-/// `base{k="v",k2="v2"}` → `base.k.v.k2.v2`, for the dotted-path JSON
-/// registry where `{}` would read as noise.
+fn fmt_value(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        // JSON has no NaN/Infinity; null is the conventional stand-in.
+        "null".to_string()
+    }
+}
+
+/// `base{k="v",k2="v2"}` → `base.k.v.k2.v2`, for the dotted-path dumps
+/// where `{}` would read as noise.
 fn dotted(key: &str) -> String {
     let Some((base, labels)) = split_labels(key) else {
         return key.to_string();
@@ -255,23 +318,39 @@ mod tests {
         for p in parts.iter().rev() {
             rev.merge_from(p);
         }
-        let mut ra = MetricsRegistry::new();
-        let mut rb = MetricsRegistry::new();
-        fwd.export_to_registry(&mut ra);
-        rev.export_to_registry(&mut rb);
-        assert_eq!(ra.to_json(), rb.to_json());
+        assert_eq!(fwd.to_json(), rev.to_json());
         assert_eq!(prom::encode(&fwd), prom::encode(&rev));
     }
 
     #[test]
-    fn registry_export_expands_labels_and_quantiles() {
+    fn json_is_sorted_dotted_and_valid() {
         let mut t = Telemetry::new();
         t.record(&labeled("lat_us", &[("class", "cpu")]), 100);
         t.counter_add("done", 1);
-        let mut reg = MetricsRegistry::new();
-        t.export_to_registry(&mut reg);
-        assert_eq!(reg.get("done"), Some(1.0));
-        assert_eq!(reg.get("lat_us.class.cpu.count"), Some(1.0));
-        assert!(reg.get("lat_us.class.cpu.p99").unwrap() >= 100.0);
+        t.gauge_set("a.bad", f64::NAN);
+        t.gauge_set("quote\"and\\slash\nctrl\u{1}", 2.0);
+        let v = salam_obs::json::parse(&t.to_json()).unwrap();
+        let keys: Vec<&String> = v.as_object().unwrap().iter().map(|(k, _)| k).collect();
+        assert!(keys.is_sorted(), "{keys:?}");
+        let num = |k: &str| v.get(k).and_then(|x| x.as_f64());
+        assert_eq!(num("done"), Some(1.0));
+        assert_eq!(num("quote\"and\\slash\nctrl\u{1}"), Some(2.0));
+        assert!(matches!(v.get("a.bad"), Some(salam_obs::json::Value::Null)));
+        assert_eq!(num("lat_us.class.cpu.count"), Some(1.0));
+        assert!(num("lat_us.class.cpu.p99").unwrap() >= 100.0);
+        assert!(t.to_table().contains("\nlat_us.class.cpu.max "));
+    }
+
+    #[test]
+    fn get_reads_counters_and_gauges_and_merge_prefixed_joins_with_dots() {
+        let mut t = Telemetry::new();
+        t.counter_add("jobs", 3);
+        t.merge_prefixed("cluster0.gemm", [("engine.stall_cycles", 7.0)]);
+        t.merge_prefixed("", [("top", 1.0)]);
+        t.record("lat", 5);
+        assert_eq!(t.get("jobs"), Some(3.0));
+        assert_eq!(t.get("cluster0.gemm.engine.stall_cycles"), Some(7.0));
+        assert_eq!(t.get("top"), Some(1.0));
+        assert_eq!(t.get("lat"), None, "histograms are read through hist()");
     }
 }

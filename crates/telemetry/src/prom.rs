@@ -1,7 +1,6 @@
 //! Prometheus text exposition (version 0.0.4).
 //!
-//! Encodes a [`Telemetry`] registry — and optionally the gauges of an
-//! existing [`MetricsRegistry`] — as the plain-text format every
+//! Encodes a [`Telemetry`] registry as the plain-text format every
 //! Prometheus-compatible scraper understands:
 //!
 //! ```text
@@ -20,7 +19,6 @@
 //! every labeled sample, as the format requires.
 
 use crate::{split_labels, Histogram, Telemetry};
-use salam_obs::MetricsRegistry;
 
 /// Sanitizes a metric (family) name: Prometheus allows
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`, so dots and anything else exotic become
@@ -120,112 +118,41 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// Emits one metric kind: groups consecutive keys by family so each
-/// family gets a single `# TYPE` line. Keys arrive in BTreeMap order, so
+/// family gets a single `# TYPE` line, and hands each value to `emit`
+/// with its family and rendered labels. Keys arrive in BTreeMap order, so
 /// all labeled variants of a family are adjacent.
-fn encode_kind<'a, I, F>(out: &mut String, kind: &str, entries: I, mut emit: F)
-where
-    I: Iterator<Item = (&'a str, String, String)>,
-    F: FnMut(&mut String, &str, &str, &str),
-{
+fn encode_kind<'a, V>(
+    out: &mut String,
+    kind: &str,
+    entries: impl Iterator<Item = (&'a str, V)>,
+    mut emit: impl FnMut(&mut String, &str, &str, V),
+) {
     let mut last_family = String::new();
-    for (key, family, labels) in entries {
+    for (key, value) in entries {
+        let (family, labels) = family_and_labels(key);
         if family != last_family {
-            out.push_str("# TYPE ");
-            out.push_str(&family);
-            out.push(' ');
-            out.push_str(kind);
-            out.push('\n');
-            last_family = family.clone();
+            out.push_str(&format!("# TYPE {family} {kind}\n"));
         }
-        emit(out, key, &family, &labels);
+        emit(out, &family, &labels, value);
+        last_family = family;
     }
 }
 
-/// Encodes `t` alone.
+/// Encodes `t`: counters, then gauges, then histograms, each in key order.
 pub fn encode(t: &Telemetry) -> String {
-    encode_with_gauges(t, &MetricsRegistry::new())
-}
-
-/// Encodes `t` plus every finite entry of `reg` as an untyped gauge —
-/// the bridge that exposes the existing JSON `/metrics` content to a
-/// Prometheus scraper from the same endpoint.
-pub fn encode_with_gauges(t: &Telemetry, reg: &MetricsRegistry) -> String {
     let mut out = String::new();
-
-    let counters: Vec<_> = t
-        .counters()
-        .map(|(k, _)| {
-            let (f, l) = family_and_labels(k);
-            (k, f, l)
-        })
-        .collect();
     encode_kind(
         &mut out,
         "counter",
-        counters.into_iter(),
-        |out, key, family, labels| {
-            sample_line(out, family, "", labels, &t.counter(key).to_string());
+        t.counters(),
+        |out, family, labels, n| {
+            sample_line(out, family, "", labels, &n.to_string());
         },
     );
-
-    let gauges: Vec<_> = t
-        .gauges()
-        .map(|(k, _)| {
-            let (f, l) = family_and_labels(k);
-            (k, f, l)
-        })
-        .collect();
-    encode_kind(
-        &mut out,
-        "gauge",
-        gauges.into_iter(),
-        |out, key, family, labels| {
-            sample_line(
-                out,
-                family,
-                "",
-                labels,
-                &fmt_f64(t.gauge(key).unwrap_or(0.0)),
-            );
-        },
-    );
-
-    let hists: Vec<_> = t
-        .hists()
-        .map(|(k, _)| {
-            let (f, l) = family_and_labels(k);
-            (k, f, l)
-        })
-        .collect();
-    encode_kind(
-        &mut out,
-        "histogram",
-        hists.into_iter(),
-        |out, key, family, labels| {
-            encode_histogram(out, family, labels, t.hist(key).expect("hist key"));
-        },
-    );
-
-    // Registry gauges last: stable insertion order, skip non-finite
-    // (exposition has spellings for them, but a point-in-time snapshot
-    // gauge that is NaN carries no information a scraper can use).
-    let reg_entries: Vec<_> = reg
-        .entries()
-        .iter()
-        .filter(|(_, v)| v.is_finite())
-        .map(|(k, v)| (sanitize_name(k), *v))
-        .collect();
-    let mut last = "";
-    for (name, v) in &reg_entries {
-        if name != last {
-            out.push_str("# TYPE ");
-            out.push_str(name);
-            out.push_str(" gauge\n");
-            last = name;
-        }
-        sample_line(&mut out, name, "", "", &fmt_f64(*v));
-    }
-
+    encode_kind(&mut out, "gauge", t.gauges(), |out, family, labels, v| {
+        sample_line(out, family, "", labels, &fmt_f64(v));
+    });
+    encode_kind(&mut out, "histogram", t.hists(), encode_histogram);
     out
 }
 
@@ -298,16 +225,5 @@ mod tests {
         t.counter_add(&labeled("hits", &[("tenant", "we\"ird\nname")]), 1);
         let text = encode(&t);
         assert!(text.contains("hits{tenant=\"we\\\"ird\\nname\"} 1\n"));
-    }
-
-    #[test]
-    fn registry_gauges_ride_along() {
-        let t = Telemetry::new();
-        let mut reg = MetricsRegistry::new();
-        reg.set("serve.jobs.submitted", 4.0);
-        reg.set("bad", f64::NAN);
-        let text = encode_with_gauges(&t, &reg);
-        assert!(text.contains("# TYPE serve_jobs_submitted gauge\nserve_jobs_submitted 4\n"));
-        assert!(!text.contains("bad"));
     }
 }

@@ -270,6 +270,21 @@ for needle in '# TYPE serve_latency_e2e_us histogram' \
   esac
 done
 
+# Every family is declared once: a duplicated `# TYPE` line makes the
+# whole exposition invalid for a scraper.
+dup_types="$(printf '%s\n' "$prom" | grep '^# TYPE' | sort | uniq -d)"
+if [ -n "$dup_types" ]; then
+  echo "ci: prometheus exposition declares a family twice: $dup_types" >&2; exit 1
+fi
+
+# Tenant names become metric labels, so a malformed one is refused at
+# admission with a typed code and never becomes a job.
+bad_tenant="$(client submit 'a,b' '{"type":"kernel","bench":"gemm","knobs":{}}' || true)"
+case "$bad_tenant" in
+  *'"code": "bad-request"'*) ;;
+  *) echo "ci: malformed tenant was not refused with bad-request: $bad_tenant" >&2; exit 1 ;;
+esac
+
 # Per-job span trace over the HTTP shim, rendered as a latency table:
 # an untraced kernel job carries exactly its three lifecycle spans.
 serve_host="${addr%:*}"; serve_port="${addr##*:}"

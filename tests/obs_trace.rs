@@ -6,7 +6,9 @@ use std::collections::HashMap;
 
 use salam::standalone::{run_kernel, try_run_kernel_with, RunOptions, StandaloneConfig};
 use salam_bench::runners::run_kernel_observed;
-use salam_obs::{export_chrome_json, json, MetricsRegistry, SharedTrace};
+use salam_obs::{export_chrome_json, json, SharedTrace};
+use salam_runtime::StallMix;
+use salam_telemetry::Telemetry;
 
 fn gemm() -> machsuite::BuiltKernel {
     machsuite::gemm::build(&machsuite::gemm::Params { n: 4, unroll: 1 })
@@ -119,7 +121,7 @@ fn traced_run_exports_wellformed_chrome_json() {
 #[test]
 fn registry_totals_match_engine_stats() {
     let (report, _) = traced_gemm();
-    let mut reg = MetricsRegistry::new();
+    let mut reg = Telemetry::new();
     report.export_metrics(&mut reg, "accel.gemm");
     let st = &report.stats;
     assert_eq!(reg.get("accel.gemm.engine.cycles"), Some(st.cycles as f64));
@@ -140,10 +142,10 @@ fn registry_totals_match_engine_stats() {
         Some(st.stores as f64)
     );
     assert_eq!(reg.get("accel.gemm.cycles"), Some(report.cycles as f64));
-    for (label, n) in &st.stall_breakdown {
+    for (label, n) in salam_runtime::labeled_counts(&StallMix::LABELS, &st.stall_breakdown) {
         assert_eq!(
             reg.get(&format!("accel.gemm.engine.stall.{label}")),
-            Some(*n as f64)
+            Some(n as f64)
         );
     }
     // The registry dump round-trips through its own JSON export.
@@ -281,7 +283,7 @@ fn traced_cluster_run_covers_memsys_components() {
     assert!(text.contains("spm."), "scratchpad track present");
 
     // And the unified registry picks up every component's stats.
-    let mut reg = MetricsRegistry::new();
+    let mut reg = Telemetry::new();
     cluster.export_metrics(&sim, &mut reg, "system");
     assert_eq!(reg.get("system.cluster.dma.bytes_moved"), Some(16.0));
     assert!(reg.get("system.incr0.cycles").unwrap_or(0.0) > 0.0);
